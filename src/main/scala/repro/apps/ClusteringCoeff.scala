@@ -35,7 +35,11 @@ object ClusteringCoeff {
   def exceedsBound(g: DataGraph, bound: Double): Boolean = {
     val triplets = 2.0 * wedges(g)
     if (triplets == 0) return false
-    val needed = math.ceil(bound * triplets / 3.0).toLong + 1
-    Existence.countAtLeast(MatchEngine.matches(g, Patterns.generateClique(3)), needed)
+    // The smallest triangle count T with 3T > bound · triplets is floor(x) + 1
+    // for x = bound · triplets / 3. Rounding in x can shift that by one, so
+    // the neighbours are checked with the same division `coefficient` uses.
+    val t = math.floor(bound * triplets / 3.0).toLong + 1
+    val needed = Seq(t - 1, t, t + 1).find(n => 3.0 * n / triplets > bound).getOrElse(t + 1)
+    needed <= 0 || Existence.countAtLeast(MatchEngine.matches(g, Patterns.generateClique(3)), needed)
   }
 }

@@ -2,7 +2,9 @@ package repro.baseline
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.MniSupport
 import repro.graph.DataGraph
+import repro.pattern.{Pattern, PatternCodec}
 
 /** Breadth-first, pattern-UNaware exploration — the Arabesque [52] and
   * RStream [57] model that Fig 1 profiles and §6.2 benchmarks.
@@ -16,9 +18,6 @@ import repro.graph.DataGraph
   * tallied in [[Profile]].
   */
 object BfsEnumerator {
-
-  /** Counters matching the Fig 1b/1c profile columns. */
-  final case class Profile(explored: Long, canonicality: Long, isomorphism: Long)
 
   private final class Tally {
     var explored = 0L; var canonicality = 0L; var isomorphism = 0L
@@ -140,7 +139,7 @@ object BfsEnumerator {
       g: DataGraph,
       kEdges: Int,
       threshold: Option[Long] = None
-  ): (Seq[(repro.pattern.Pattern, Long)], Profile) = {
+  ): (Seq[(Pattern, Long)], Profile) = {
     val t = new Tally
     val lgB = spark.sparkContext.broadcast(LocalGraph.fromDataGraph(g))
 
@@ -152,17 +151,18 @@ object BfsEnumerator {
     }
 
     /** Per-level aggregation: supports + optional frequency pruning. */
-    def aggregateLevel(level: DataFrame): (Seq[(repro.pattern.Pattern, Long)], DataFrame) = {
+    def aggregateLevel(level: DataFrame): (Seq[(Pattern, Long)], DataFrame) = {
       val withKey = level
         .withColumn("kv", keyUdf(col("es")))
         .select(col("es"), col("vs"), col("kv._1") as "key", col("kv._2") as "cvs")
         .cache()
       t.isomorphism += withKey.count()
-      val sup = BaselineSupport.supports(spark, withKey.select(col("key"), col("cvs") as "vs"))
+      val sup = MniSupport.supportsByKey[String](
+        withKey.select(col("key"), col("cvs") as "vs"), PatternCodec.decode)
       threshold match {
         case Some(tau) =>
           val frequent = sup.filter(_._2 >= tau)
-          val keys = frequent.map { case (p, _) => repro.pattern.PatternCodec.encode(p) }
+          val keys = frequent.map { case (p, _) => PatternCodec.encode(p) }
           val kept = withKey.filter(col("key").isin(keys: _*)).select(col("es"), col("vs")).cache()
           kept.count()
           withKey.unpersist()

@@ -3,8 +3,9 @@ package repro.baseline
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.util.LongAccumulator
+import repro.core.MniSupport
 import repro.graph.DataGraph
-import repro.pattern.{Automorphism, Pattern}
+import repro.pattern.{Automorphism, Pattern, PatternCodec}
 
 /** Depth-first, pattern-UNaware exploration — the Fractal [12] model of
   * §6.3. Each data vertex is a task; tasks enumerate ALL connected (induced)
@@ -16,8 +17,6 @@ import repro.pattern.{Automorphism, Pattern}
   * Peregrine's plan-guided engine avoids.
   */
 object DfsEnumerator {
-
-  final case class Profile(explored: Long, canonicality: Long, isomorphism: Long)
 
   final case class Accs(
       explored: LongAccumulator,
@@ -190,7 +189,7 @@ object DfsEnumerator {
       }
       .toDF("key", "vs")
 
-    val supports = BaselineSupport.supports(spark, keyed)
+    val supports = MniSupport.supportsByKey[String](keyed, PatternCodec.decode)
     (supports, accs.toProfile)
   }
 }

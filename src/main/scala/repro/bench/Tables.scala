@@ -279,7 +279,7 @@ object Tables {
         } ++
         Seq(
           ("Exist 6-Clique", "OK+K6",
-            Seq("PRG" -> cell("e6-okc")(Existence.existsEarlyStop(d.okClique, Patterns.generateClique(6)).toString))),
+            Seq("PRG" -> cell("e6-okc")(Existence.exists(d.okClique, Patterns.generateClique(6)).toString))),
           ("CC > 0.1", "MI",
             Seq("PRG" -> cell("cc-MI")(ClusteringCoeff.exceedsBound(d.mi, 0.1).toString)))
         )

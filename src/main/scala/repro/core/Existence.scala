@@ -1,8 +1,8 @@
 package repro.core
 
-import java.util.concurrent.ConcurrentHashMap
-import java.util.concurrent.atomic.AtomicLong
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions._
 import repro.graph.DataGraph
 import repro.pattern.{Pattern, Patterns}
 
@@ -10,26 +10,17 @@ import repro.pattern.{Pattern, Patterns}
   *
   * Peregrine's matching threads periodically observe a stop notification
   * raised by the user function (`stopExploration()`). On the Spark
-  * substrate we model this two ways:
-  *
-  *  - `exists`: a `LIMIT 1` on the match DataFrame — Catalyst's local-limit
-  *    stops each partition after its first row, the global limit stops the
-  *    job after the first partition delivers;
-  *  - `countAtLeast`: a shared stop flag polled by every task between rows,
-  *    mirroring the paper's periodic notification check. Because this
-  *    reproduction runs `local[*]` (like Peregrine, a single machine), the
-  *    tasks share the driver JVM and an AtomicLong is a faithful analogue
-  *    of Peregrine's thread-local-then-aggregated counters.
+  * substrate the analogue is a `LIMIT n` take: Catalyst's local limit stops
+  * each partition after its first n rows, and the take scans partitions
+  * incrementally (one, then a growing number), stopping as soon as n rows
+  * have arrived. Nothing is shared between tasks, so this holds on any
+  * master.
   */
 object Existence {
 
-  /** Shared per-query counters (single-machine / local-mode assumption). */
-  private val counters = new ConcurrentHashMap[String, AtomicLong]()
-  private val queryIds = new AtomicLong(0)
-
-  /** Whether at least one match of `p` exists in `g` (LIMIT-1 pushdown). */
+  /** Whether at least one match of `p` exists in `g`. */
   def exists(g: DataGraph, p: Pattern): Boolean =
-    !MatchEngine.matches(g, p).isEmpty
+    countAtLeast(MatchEngine.matches(g, p), 1)
 
   /** Fig 4f: whether a k-clique exists.
     *
@@ -38,61 +29,46 @@ object Existence {
     * search as soon as the exploration frontier dies (§6.5). A single
     * monolithic k-clique join program would also be correct, but for large k
     * (the paper uses k = 14) its ~k²/2-join Catalyst plan is prohibitively
-    * expensive to optimize, so each step is materialized (localCheckpoint)
-    * to keep plans small; dying frontiers stop the query immediately.
+    * expensive to optimize, so each step is materialized (a locally
+    * checkpointed RDD) to keep plans small; dying frontiers stop the query
+    * immediately. Each step is released once the next one is materialized,
+    * and the last one before returning.
     */
   def existsClique(g: DataGraph, k: Int): Boolean = {
     require(k >= 1)
     if (k == 1) return g.numVertices > 0
     if (k <= 4) return exists(g, Patterns.generateClique(k))
-    import org.apache.spark.sql.functions._
     def c(i: Int) = s"m_$i"
     def edgeRel(s: String, d: String) = g.adj.select(col("src") as s, col("dst") as d)
-    var cur = g.edges.select(col("src") as c(1), col("dst") as c(2)).localCheckpoint(true)
-    var i = 2
-    while (i < k) {
-      i += 1
-      var next = cur
-        .join(edgeRel("_as", "_ad"), col(c(i - 1)) === col("_as"))
-        .drop("_as")
-        .withColumnRenamed("_ad", c(i))
-        .filter(col(c(i)) > col(c(i - 1)))
-      for (j <- 1 to i - 2)
-        next = next
-          .join(edgeRel("_xs", "_xd"), col(c(j)) === col("_xs") && col(c(i)) === col("_xd"))
-          .drop("_xs", "_xd")
-      cur = next.localCheckpoint(true)
-      if (cur.isEmpty) return false
-    }
-    true
+    var cur = g.edges.select(col("src") as c(1), col("dst") as c(2))
+    var held: Option[RDD[Row]] = None
+    try {
+      for (i <- 3 to k) {
+        var next = cur
+          .join(edgeRel("_as", "_ad"), col(c(i - 1)) === col("_as"))
+          .drop("_as")
+          .withColumnRenamed("_ad", c(i))
+          .filter(col(c(i)) > col(c(i - 1)))
+        for (j <- 1 to i - 2)
+          next = next
+            .join(edgeRel("_xs", "_xd"), col(c(j)) === col("_xs") && col(c(i)) === col("_xd"))
+            .drop("_xs", "_xd")
+        val step = next.rdd.localCheckpoint()
+        val empty = step.count() == 0
+        held.foreach(_.unpersist(blocking = false))
+        held = Some(step)
+        if (empty) return false
+        cur = next.sparkSession.createDataFrame(step, next.schema)
+      }
+      true
+    } finally held.foreach(_.unpersist(blocking = false))
   }
 
-  /** Early-terminating check that `df` yields at least `target` rows: every
-    * task increments a shared counter and stops consuming its input as soon
-    * as the global count reaches `target`, so upstream (pipelined) work
-    * stops too — the dataflow analogue of `stopExploration()`.
+  /** Whether `df` yields at least `target` rows, reading at most `target`
+    * of them (see the object comment for how the scan stops early).
     */
   def countAtLeast(df: DataFrame, target: Long): Boolean = {
-    require(target >= 1)
-    val key = s"existence-${queryIds.incrementAndGet()}"
-    val counter = new AtomicLong(0)
-    counters.put(key, counter)
-    try {
-      df.foreachPartition { (rows: Iterator[org.apache.spark.sql.Row]) =>
-        val c = counters.get(key)
-        // c is null only if this closure ran off-driver (non-local master) —
-        // fall back to exhaustive consumption in that case.
-        var stop = false
-        while (rows.hasNext && !stop) {
-          rows.next()
-          if (c != null) stop = c.incrementAndGet() >= target
-        }
-      }
-      counter.get() >= target
-    } finally counters.remove(key)
+    require(target >= 1 && target <= Int.MaxValue, s"target $target out of range")
+    df.select().take(target.toInt).length == target
   }
-
-  /** Early-terminating existence of `p` in `g` via the stop-flag path. */
-  def existsEarlyStop(g: DataGraph, p: Pattern): Boolean =
-    countAtLeast(MatchEngine.matches(g, p), 1)
 }

@@ -29,9 +29,9 @@ import repro.plan.{ExplorationPlan, Planner}
   * recursive traversals over all matching orders of p_C; under relational
   * evaluation a single join order with the partial-order '''predicates'''
   * yields exactly the same set, because every canonical match satisfies
-  * exactly one linear extension of the partial order. The planner still
-  * computes the matching orders (they are part of the plan and tested); the
-  * engine consumes `plan.joinOrder` + `plan.orderClosure`.
+  * exactly one linear extension of the partial order. The plan therefore
+  * holds no matching orders; the engine consumes `plan.joinOrder` +
+  * `plan.orderClosure`.
   *
   * With `symmetry = false` the engine models pattern-UNaware systems
   * (PRG-U, §6.6): order predicates are replaced by plain ≠ constraints, so

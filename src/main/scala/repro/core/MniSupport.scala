@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.reflect.runtime.universe.TypeTag
 import repro.pattern.{Automorphism, CanonicalForm, Pattern}
 
 /** Minimum node image (MNI) support computation (§2.1, §3.2.1, §5.5).
@@ -27,17 +28,8 @@ object MniSupport {
     * canonical match DataFrame (columns `m_<v>`).
     */
   def support(p: Pattern, matches: DataFrame): Long = {
-    val reg = p.regularVertices
-    val orbits = Automorphism.orbitsOf(reg, Automorphism.all(p))
-    val sizes = orbits.map { orbit =>
-      orbit.toSeq.sorted
-        .map(v => matches.select(col(mcol(v)) as "v"))
-        .reduce(_ union _)
-        .agg(countDistinct(col("v")))
-        .head()
-        .getLong(0)
-    }
-    if (sizes.isEmpty) 0L else sizes.min
+    val keyed = matches.select(lit(0) as "key", array(p.regularVertices.map(v => col(mcol(v))): _*) as "vs")
+    supportsByKey[Int](keyed, _ => p).headOption.map(_._2).getOrElse(0L)
   }
 
   /** Dynamic label discovery (§3.2.1): given matches of a partially-labeled
@@ -79,23 +71,36 @@ object MniSupport {
       .select(array(labExprs: _*) as "ls", array(vExprs: _*) as "vs")
       .select(canonUdf(col("ls"), col("vs")) as "c")
       .select(col("c._1") as "key", col("c._2") as "vs")
-      .cache()
 
+    // The key is the canonical label sequence over `reg`.
+    def labeled(key: collection.Seq[Int]): Pattern =
+      reg.zipWithIndex.foldLeft(p) { case (acc, (v, j)) => acc.addLabel(v, key(j)) }
+    supportsByKey[collection.Seq[Int]](keyed, labeled)
+      .map { case (pat, s) => (CanonicalForm.canonicalize(pat)._1, s) }
+  }
+
+  /** MNI support of every pattern in `keyed`, which holds one row per match:
+    * a pattern key (column `key`) and the matched data vertices in the order
+    * of that pattern's regular vertices (column `vs`). `pattern` decodes a
+    * key. Each position's domain is merged across its automorphism orbit
+    * under the decoded pattern's own automorphisms; support is the smallest
+    * merged domain. Returns (decoded pattern, support) per distinct key.
+    */
+  def supportsByKey[K: TypeTag](keyed: DataFrame, pattern: K => Pattern): Seq[(Pattern, Long)] = {
+    val cached = keyed.cache()
     try {
-      val keys = keyed.select("key").distinct().collect().map(_.getSeq[Int](0)).toSeq
+      val keys = cached.select("key").distinct().collect().toSeq.map(_.getAs[K](0))
       if (keys.isEmpty) return Seq.empty
-
-      // Per labeled pattern: orbit id of each position under its own Aut.
-      val keyInfo: Map[Seq[Int], (Pattern, Array[Int])] = keys.map { key =>
-        val labeled = reg.zipWithIndex.foldLeft(p) { case (acc, (v, j)) => acc.addLabel(v, key(j)) }
-        val orbits = Automorphism.orbitsOf(reg, Automorphism.all(labeled))
-        val orbitOf = Array.tabulate(k)(j => orbits.indexWhere(_.contains(reg(j))))
-        key -> (labeled, orbitOf)
+      // Per pattern: orbit id of each position under its own Aut.
+      val keyInfo: Map[K, (Pattern, Seq[Int])] = keys.map { key =>
+        val pat = pattern(key)
+        val reg = pat.regularVertices
+        val orbits = Automorphism.orbitsOf(reg, Automorphism.all(pat))
+        key -> (pat, reg.map(v => orbits.indexWhere(_.contains(v))))
       }.toMap
-      val orbitMaps = keyInfo.map { case (key, (_, orbitOf)) => (key, orbitOf.toSeq) }
-      val orbitUdf = udf((key: Seq[Int], pos: Int) => orbitMaps(key)(pos))
-
-      val supports = keyed
+      val orbitMaps = keyInfo.map { case (key, (_, orbitOf)) => (key, orbitOf) }
+      val orbitUdf = udf((key: K, pos: Int) => orbitMaps(key)(pos))
+      cached
         .select(col("key"), posexplode(col("vs")) as Seq("pos", "v"))
         .withColumn("orbit", orbitUdf(col("key"), col("pos")))
         .groupBy("key", "orbit")
@@ -103,11 +108,9 @@ object MniSupport {
         .groupBy("key")
         .agg(min("c") as "support")
         .collect()
-        .map(r => (keyInfo(r.getSeq[Int](0))._1, r.getLong(1)))
+        .map(r => (keyInfo(r.getAs[K](0))._1, r.getLong(1)))
         .toSeq
-
-      supports.map { case (pat, s) => (CanonicalForm.canonicalize(pat)._1, s) }
-    } finally keyed.unpersist()
+    } finally cached.unpersist()
   }
 
   private def lexLt(a: Seq[Int], b: Seq[Int]): Boolean = {

@@ -2,15 +2,6 @@ package repro.plan
 
 import repro.pattern.{Automorphism, Pattern}
 
-/** One matching order (§4.1): an ordered view of the core pattern p_C.
-  *
-  * @param remapped  copy of p_C whose vertex ids are positions 1..|V(p_C)|
-  *                  in a valid sequence
-  * @param sequences the valid vertex sequences that produce this view; a
-  *                  match for the view yields one p_C match per sequence
-  */
-final case class MatchingOrder(remapped: Pattern, sequences: Vector[Vector[Int]])
-
 /** The exploration plan of Fig 5: everything the engine needs to find
   * canonical matches of `pattern` by guided traversal, with no per-match
   * canonicality or isomorphism checks.
@@ -19,7 +10,6 @@ final case class MatchingOrder(remapped: Pattern, sequences: Vector[Vector[Int]]
   * @param partialOrders  symmetry-breaking constraints (a, b) ⇒ m(a) < m(b)
   * @param orderClosure   transitive closure of `partialOrders`
   * @param core           minimum connected vertex cover inducing p_C
-  * @param matchingOrders ordered views of p_C (deduplicated)
   * @param joinOrder      connectivity-respecting order over the regular
   *                       vertices (core first) used by the dataflow engine —
   *                       see MatchEngine for why a single order under the
@@ -34,20 +24,9 @@ final case class ExplorationPlan(
     partialOrders: Seq[(Int, Int)],
     orderClosure: Set[(Int, Int)],
     core: Set[Int],
-    matchingOrders: Seq[MatchingOrder],
     joinOrder: Vector[Int],
     multiplicity: Int
-) {
-  /** Core pattern p_C: subgraph induced by the cover. */
-  def corePattern: Pattern = pattern.inducedSubgraph(core)
-
-  /** Regular vertices outside the core (each has all regular neighbors in core). */
-  def nonCore: Vector[Int] = pattern.regularVertices.filterNot(core)
-
-  /** Whether the pair (a, b) is ordered (either direction) by the closure. */
-  def ordered(a: Int, b: Int): Boolean =
-    orderClosure.contains((a, b)) || orderClosure.contains((b, a))
-}
+)
 
 /** Computes exploration plans (Fig 5's `generatePlan`). */
 object Planner {
@@ -61,38 +40,11 @@ object Planner {
         s"anti-vertex $av may only be anti-adjacent to regular vertices: $p"
       )
 
-    val partialOrders = SymmetryBreaking.partialOrders(p)
+    val (partialOrders, multiplicity) = SymmetryBreaking.breakSymmetry(p, Automorphism.all(p))
     val closure = SymmetryBreaking.closure(partialOrders)
     val core = VertexCover.minConnectedCover(p)
-    val matchingOrders = computeMatchingOrders(p, core, partialOrders)
     val joinOrder = computeJoinOrder(p, core)
-    val multiplicity = Automorphism.regularMultiplicity(p)
-    ExplorationPlan(p, partialOrders, closure, core, matchingOrders, joinOrder, multiplicity)
-  }
-
-  /** All total orders of V(p_C) consistent with the partial ordering,
-    * remapped to position graphs, with duplicate views merged (§4.1).
-    */
-  private def computeMatchingOrders(
-      p: Pattern,
-      core: Set[Int],
-      partialOrders: Seq[(Int, Int)]
-  ): Seq[MatchingOrder] = {
-    val coreVs = p.vertices.filter(core)
-    val pC = p.inducedSubgraph(core)
-    val sequences = coreVs.permutations.filter { seq =>
-      val rank = seq.zipWithIndex.toMap
-      SymmetryBreaking.respects(partialOrders, rank)
-    }.toVector
-    sequences
-      .map { seq =>
-        val pos = seq.zipWithIndex.map { case (v, i) => v -> (i + 1) }.toMap
-        (pC.remap(pos), seq)
-      }
-      .groupBy(_._1.toString)
-      .toSeq
-      .sortBy(_._1)
-      .map { case (_, grp) => MatchingOrder(grp.head._1, grp.map(_._2)) }
+    ExplorationPlan(p, partialOrders, closure, core, joinOrder, multiplicity)
   }
 
   /** Connectivity-respecting order: BFS over p_C's regular edges from its

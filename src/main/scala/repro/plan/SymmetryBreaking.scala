@@ -19,22 +19,34 @@ import repro.pattern.{Automorphism, Pattern}
 object SymmetryBreaking {
 
   /** Ordering constraints (a, b) ⇒ m(a) < m(b). */
-  def partialOrders(p: Pattern): Seq[(Int, Int)] = {
-    var autos = Automorphism.all(p)
-    val regular = p.regularVertices.toSet
+  def partialOrders(p: Pattern): Seq[(Int, Int)] = breakSymmetry(p, Automorphism.all(p))._1
+
+  /** Ordering constraints and the regular multiplicity, both from the
+    * automorphism group `autos` of `p`.
+    *
+    * Regular vertices are fixed in order: each one with a non-trivial orbit
+    * under the current stabilizer is ordered before the rest of its orbit,
+    * and the group shrinks to its stabilizer. Vertices before v stay fixed
+    * by every subgroup, so this picks the smallest movable vertex each time
+    * and ends at the automorphisms that fix every regular vertex. By
+    * orbit–stabilizer the product of the orbit sizes is then the number of
+    * distinct actions on the regular vertices
+    * (`Automorphism.regularMultiplicity`).
+    */
+  def breakSymmetry(p: Pattern, autos: Seq[Map[Int, Int]]): (Seq[(Int, Int)], Int) = {
     val conds = collection.mutable.ArrayBuffer.empty[(Int, Int)]
-    // Iterate until every remaining automorphism fixes all regular vertices.
-    while (autos.exists(sigma => regular.exists(v => sigma(v) != v))) {
-      // Smallest regular vertex with a non-trivial orbit, for determinism.
-      val v = p.regularVertices
-        .find(v => autos.exists(sigma => sigma(v) != v))
-        .getOrElse(throw new IllegalStateException("non-trivial automorphism without movable regular vertex"))
-      val orbit = autos.map(_(v)).toSet - v
-      // Orbits are label/kind-pure, so orbit members of a regular vertex are regular.
-      for (w <- orbit.toSeq.sorted) conds += ((v, w))
-      autos = autos.filter(sigma => sigma(v) == v)
+    var stabilizer = autos
+    var multiplicity = 1
+    for (v <- p.regularVertices) {
+      val orbit = stabilizer.map(_(v)).toSet
+      if (orbit.size > 1) {
+        multiplicity *= orbit.size
+        // Orbits are label/kind-pure, so orbit members of a regular vertex are regular.
+        for (w <- (orbit - v).toSeq.sorted) conds += ((v, w))
+        stabilizer = stabilizer.filter(sigma => sigma(v) == v)
+      }
     }
-    conds.toSeq
+    (conds.toSeq, multiplicity)
   }
 
   /** Transitive closure of the ordering constraints, as a set of (a, b)
@@ -53,12 +65,4 @@ object SymmetryBreaking {
     }
     edges
   }
-
-  /** Whether the assignment order `vs(i) = position of pattern vertex` is
-    * consistent: helper used by tests and by matching-order enumeration.
-    */
-  def respects(conds: Seq[(Int, Int)], rank: Map[Int, Int]): Boolean =
-    conds.forall { case (a, b) =>
-      !rank.contains(a) || !rank.contains(b) || rank(a) < rank(b)
-    }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestGraphs}
 import repro.apps.ClusteringCoeff
+import repro.graph.DataGraph
 import repro.pattern.Patterns
 
 /** Existence queries and early termination (§5.3, Fig 4b/4f). */
@@ -10,10 +11,19 @@ class ExistenceSpec extends SparkSpec {
   private lazy val k4p = TestGraphs.dataGraph(spark, TestGraphs.k4Pendant)
   private lazy val er = TestGraphs.dataGraph(spark, TestGraphs.er(40, 100, seed = 51))
 
+  /** `existsClique`, checked to leave no RDD persisted beyond the graph's own. */
+  private def existsCliqueReleasing(g: DataGraph, k: Int): Boolean = {
+    g.adj.count() // materialize the graph's cached relation before the snapshot
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    val found = Existence.existsClique(g, k)
+    assert(spark.sparkContext.getPersistentRDDs.keySet == before, s"k=$k")
+    found
+  }
+
   test("existsClique finds the planted 4-clique") {
     assert(Existence.existsClique(k4p, 3))
     assert(Existence.existsClique(k4p, 4))
-    assert(!Existence.existsClique(k4p, 5))
+    assert(!existsCliqueReleasing(k4p, 5))
   }
 
   test("exists on arbitrary patterns") {
@@ -22,18 +32,18 @@ class ExistenceSpec extends SparkSpec {
     assert(!Existence.exists(k4p, Patterns.generateStar(5))) // max degree is 4
   }
 
-  test("existsEarlyStop agrees with exists") {
+  test("exists agrees with existsClique") {
     for (k <- 3 to 5) {
-      assert(Existence.existsEarlyStop(k4p, Patterns.generateClique(k)) ==
+      assert(Existence.exists(k4p, Patterns.generateClique(k)) ==
              Existence.existsClique(k4p, k), s"k=$k")
     }
-    assert(Existence.existsEarlyStop(er, Patterns.generateClique(3)) ==
+    assert(Existence.exists(er, Patterns.generateClique(3)) ==
            Existence.existsClique(er, 3))
   }
 
   test("large clique existence terminates fast on graphs without one") {
     // The join pipeline empties early — this must complete quickly.
-    assert(!Existence.existsClique(er, 14))
+    assert(!existsCliqueReleasing(er, 14))
   }
 
   test("countAtLeast thresholds") {
@@ -50,6 +60,9 @@ class ExistenceSpec extends SparkSpec {
     assert(ClusteringCoeff.triangles(fig6) == 2)
     assert(ClusteringCoeff.wedges(fig6) == 14)
     assert(math.abs(ClusteringCoeff.coefficient(fig6) - 6.0 / 28.0) < 1e-12)
+    // Boundaries: 2 triangles clear 0.2 (3·2 > 0.2·28); the exact value is not exceeded.
+    assert(ClusteringCoeff.exceedsBound(fig6, 0.2))
+    assert(!ClusteringCoeff.exceedsBound(fig6, ClusteringCoeff.coefficient(fig6)))
   }
 
   test("exceedsBound agrees with the exact coefficient") {

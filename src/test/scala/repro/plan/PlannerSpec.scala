@@ -1,7 +1,7 @@
 package repro.plan
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.pattern.{Pattern, Patterns}
+import repro.pattern.{Automorphism, Pattern, Patterns}
 
 class PlannerSpec extends AnyFunSuite {
 
@@ -11,49 +11,7 @@ class PlannerSpec extends AnyFunSuite {
     val plan = Planner.plan(diamond)
     assert(plan.partialOrders.toSet == Set((1, 3), (2, 4)))
     assert(plan.core == Set(2, 4))
-    // Core = single ordered edge → exactly one matching order, one sequence.
-    assert(plan.matchingOrders.size == 1)
-    assert(plan.matchingOrders.head.sequences == Vector(Vector(2, 4)))
     assert(plan.multiplicity == 4)
-  }
-
-  test("matching orders respect the partial order") {
-    for (k <- 2 to 5; p <- Patterns.generateAllVertexInduced(k)) {
-      val plan = Planner.plan(p)
-      for (mo <- plan.matchingOrders; seq <- mo.sequences) {
-        val rank = seq.zipWithIndex.toMap
-        assert(SymmetryBreaking.respects(plan.partialOrders, rank))
-      }
-    }
-  }
-
-  test("matching order views are deduplicated") {
-    for (k <- 2 to 5; p <- Patterns.generateAllVertexInduced(k)) {
-      val plan = Planner.plan(p)
-      val views = plan.matchingOrders.map(_.remapped.toString)
-      assert(views.distinct.size == views.size)
-    }
-  }
-
-  test("every valid core sequence appears in exactly one matching order") {
-    for (k <- 2 to 5; p <- Patterns.generateAllVertexInduced(k)) {
-      val plan = Planner.plan(p)
-      val coreVs = p.vertices.filter(plan.core)
-      val valid = coreVs.permutations.filter { seq =>
-        SymmetryBreaking.respects(plan.partialOrders, seq.zipWithIndex.toMap)
-      }.toSet
-      val inOrders = plan.matchingOrders.flatMap(_.sequences)
-      assert(inOrders.toSet == valid)
-      assert(inOrders.size == valid.size)
-    }
-  }
-
-  test("fully symmetric core (clique) has one matching order with one sequence") {
-    for (k <- 3 to 5) {
-      val plan = Planner.plan(Patterns.generateClique(k))
-      assert(plan.matchingOrders.size == 1)
-      assert(plan.matchingOrders.head.sequences.size == 1)
-    }
   }
 
   test("join order starts in the core and is connectivity-respecting") {
@@ -105,5 +63,14 @@ class PlannerSpec extends AnyFunSuite {
     assert(Planner.plan(Patterns.generateStar(3)).multiplicity == 6)
     assert(Planner.plan(Patterns.generateChain(4)).multiplicity == 2)
     assert(Planner.plan(diamond).multiplicity == 4)
+    val antiSamples = Seq(
+      Patterns.generateClique(3).addAntiEdge(1, 4).addAntiEdge(2, 4).addAntiEdge(3, 4),
+      Patterns.generateClique(3).addAntiEdge(1, 4).addAntiEdge(3, 4),
+      Patterns.generateChain(3).addAntiEdge(1, 3),
+      Pattern.fromEdges((1, 2), (2, 3), (3, 4), (4, 1), (1, 3)).addAntiEdge(2, 4),
+      Patterns.generateStar(3).addAntiEdge(2, 3)
+    )
+    for (p <- (2 to 5).flatMap(Patterns.generateAllVertexInduced) ++ antiSamples)
+      assert(Planner.plan(p).multiplicity == Automorphism.regularMultiplicity(p), s"pattern $p")
   }
 }

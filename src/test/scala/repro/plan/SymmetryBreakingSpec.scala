@@ -102,13 +102,6 @@ class SymmetryBreakingSpec extends AnyFunSuite {
     assert(!closure.contains((4, 1)))
   }
 
-  test("respects honors partial ranks") {
-    val conds = Seq((1, 3), (2, 4))
-    assert(SymmetryBreaking.respects(conds, Map(1 -> 0, 3 -> 1)))
-    assert(!SymmetryBreaking.respects(conds, Map(1 -> 1, 3 -> 0)))
-    assert(SymmetryBreaking.respects(conds, Map(2 -> 5))) // unconstrained when partner absent
-  }
-
   test("ordering conditions relate vertices in the same orbit") {
     for (k <- 2 to 5; p <- Patterns.generateAllVertexInduced(k)) {
       val autos = Automorphism.all(p)
