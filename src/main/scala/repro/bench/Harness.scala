@@ -1,6 +1,7 @@
 package repro.bench
 
 import java.util.concurrent.{Callable, ExecutionException, Executors, TimeUnit, TimeoutException}
+import org.apache.spark.JobExecutionStatus
 import org.apache.spark.sql.SparkSession
 
 /** Benchmark harness: wall-clock timing, per-cell time budgets (the
@@ -23,15 +24,21 @@ object Harness {
   /** Run `f` under a wall-clock budget; on timeout cancel the job group and
     * report '×' (like the paper's did-not-finish marker). Any error reports
     * '—' (like the paper's out-of-memory marker).
+    *
+    * A cancelled cell is waited for, up to `unwindSeconds`: its thread must
+    * finish (so whatever its `finally` blocks release is released) and its
+    * jobs must be seen to end, so the next cell does not time the old
+    * cell's cleanup.
     */
   def budgeted(spark: SparkSession, label: String, budgetSeconds: Int)(f: => String): Cell = {
+    val sc = spark.sparkContext
     val group = s"bench-$label-${System.nanoTime()}"
     val pool = Executors.newSingleThreadExecutor()
     val fut = pool.submit(new Callable[(String, Double)] {
       def call(): (String, Double) = {
-        spark.sparkContext.setJobGroup(group, label, interruptOnCancel = true)
+        sc.setJobGroup(group, label, interruptOnCancel = true)
         try time(f)
-        finally spark.sparkContext.clearJobGroup()
+        finally sc.clearJobGroup()
       }
     })
     try {
@@ -39,8 +46,15 @@ object Harness {
       Cell(v, Some(secs))
     } catch {
       case _: TimeoutException =>
-        spark.sparkContext.cancelJobGroup(group)
+        val deadline = System.nanoTime() + unwindSeconds * 1000000000L
+        sc.cancelJobGroupAndFutureJobs(group)
         fut.cancel(true)
+        pool.shutdown()
+        pool.awaitTermination(unwindSeconds, TimeUnit.SECONDS)
+        def running = sc.statusTracker.getJobIdsForGroup(group).exists { id =>
+          sc.statusTracker.getJobInfo(id).exists(_.status == JobExecutionStatus.RUNNING)
+        }
+        while (running && System.nanoTime() < deadline) Thread.sleep(10)
         Cell("x", None)
       case e: ExecutionException =>
         Console.err.println(s"[bench] $label failed: ${e.getCause}")
@@ -50,6 +64,9 @@ object Harness {
       ()
     }
   }
+
+  /** How long a cancelled cell may take to unwind before the next one runs. */
+  private val unwindSeconds = 30
 
   def defaultBudget: Int = sys.env.get("REPRO_BENCH_BUDGET").map(_.toInt).getOrElse(240)
 

@@ -275,7 +275,7 @@ object Tables {
         } ++
         graphs.map { case (name, g) =>
           ("Exist 14-Clique", name,
-            Seq("PRG" -> cell(s"e14-$name")(Existence.existsClique(g, 14).toString)))
+            Seq("PRG" -> cell(s"e14-$name")(Existence.exists(g, Patterns.generateClique(14)).toString)))
         } ++
         Seq(
           ("Exist 6-Clique", "OK+K6",

@@ -63,7 +63,21 @@ object MatchEngine {
       plan: ExplorationPlan,
       symmetry: Boolean = true,
       discoverLabels: Boolean = false
-  ): DataFrame = {
+  ): DataFrame =
+    steps(g, plan, symmetry, discoverLabels).foldLeft(g.vertices)((df, step) => step(df))
+
+  /** The plan as steps, each extending the partial matches the ones before
+    * it produced: one step per join-order vertex (the first one starts from
+    * `g.vertices`), then one per anti-vertex. `matchesWithPlan` composes
+    * them into one lazy join program; `Existence.exists` runs them one at a
+    * time.
+    */
+  def steps(
+      g: DataGraph,
+      plan: ExplorationPlan,
+      symmetry: Boolean = true,
+      discoverLabels: Boolean = false
+  ): Seq[DataFrame => DataFrame] = {
     val p = plan.pattern
     val order = plan.joinOrder
     require(
@@ -74,11 +88,10 @@ object MatchEngine {
     def edgeRel(s: String, d: String): DataFrame =
       g.adj.select(col("src") as s, col("dst") as d)
 
-    var df: DataFrame = null
-    for ((v, i) <- order.zipWithIndex) {
-      val prior = order.take(i)
-      if (i == 0) {
-        df = g.vertices.select(col("v") as mcol(v))
+    def vertexStep(v: Int, prior: Seq[Int])(in: DataFrame): DataFrame = {
+      var df = in
+      if (prior.isEmpty) {
+        df = df.select(col("v") as mcol(v))
       } else {
         val neighbors = prior.filter(w => p.areConnected(v, w))
         val anchor = neighbors.headOption.getOrElse(
@@ -117,17 +130,17 @@ object MatchEngine {
       p.getLabel(v) match {
         case Some(lbl) =>
           val lab = g.labels.get.filter(col("lab") === lbl).select(col("v") as "_lv")
-          df = df.join(lab, col(mcol(v)) === col("_lv")).drop("_lv")
+          df.join(lab, col(mcol(v)) === col("_lv")).drop("_lv")
         case None if discoverLabels && g.labels.isDefined =>
           val lab = g.labels.get.select(col("v") as "_lv", col("lab") as lcol(v))
-          df = df.join(lab, col(mcol(v)) === col("_lv")).drop("_lv")
-        case _ => ()
+          df.join(lab, col(mcol(v)) === col("_lv")).drop("_lv")
+        case _ => df
       }
     }
 
     // Anti-vertex constraints (§4.3), once every regular vertex is bound.
     val matchCols = order.map(mcol)
-    for (av <- p.antiVertices) {
+    def antiVertexStep(av: Int)(df: DataFrame): DataFrame = {
       val ns = p.antiNeighbors(av).toSeq.sorted
       // Per the anti-vertex formula, a common neighbor w is only excused if
       // it is the image of a pattern-neighbor of one of ū's neighbors.
@@ -141,10 +154,11 @@ object MatchEngine {
           .join(edgeRel("_es", "_ed"), col(mcol(x)) === col("_es") && col("_w") === col("_ed"))
           .drop("_es", "_ed")
       for (y <- excluded) wdf = wdf.filter(col("_w") =!= col(mcol(y)))
-      df = df.join(wdf.select(matchCols.map(col): _*), matchCols, "left_anti")
+      df.join(wdf.select(matchCols.map(col): _*), matchCols, "left_anti")
     }
 
-    df
+    order.indices.map(i => vertexStep(order(i), order.take(i)) _) ++
+      p.antiVertices.map(av => antiVertexStep(av) _)
   }
 
   /** Count canonical matches. With symmetry breaking the match set is

@@ -1,6 +1,6 @@
 package repro.pattern
 
-/** Automorphism enumeration for (small) patterns.
+/** Automorphisms of patterns, found by search.
   *
   * An automorphism is a permutation of the pattern's vertices that preserves
   * regular edges, anti-edges, and labels. Because anti-edges are a distinct
@@ -10,27 +10,51 @@ package repro.pattern
   * computing automorphisms".
   *
   * Unlabeled (wildcard) vertices form their own label class: a wildcard can
-  * only map to a wildcard. Patterns are tiny (≤ ~7 vertices), so brute-force
-  * permutation enumeration is both the simplest and a perfectly adequate
-  * ground truth.
+  * only map to a wildcard.
+  *
+  * `extending` is a pruned backtracking search in the style of nauty/Traces
+  * (McKay & Piperno 2014): it grows a partial map one vertex at a time and
+  * only tries images that agree in label, kind, regular degree and
+  * anti-degree, and whose regular and anti adjacency to the vertices already
+  * mapped matches. Symmetry breaking asks it for one automorphism at a time,
+  * so planning never builds the group (a 14-clique has 14! automorphisms).
   */
 object Automorphism {
 
   /** All automorphisms of `p`, as vertex→vertex maps (identity included). */
-  def all(p: Pattern): Seq[Map[Int, Int]] = {
-    val vs = p.vertices
-    vs.permutations.toSeq
-      .map(perm => vs.zip(perm).toMap)
-      .filter(sigma => preserves(p, sigma))
-  }
+  def all(p: Pattern): Seq[Map[Int, Int]] = extending(p, Map.empty).toVector
 
-  /** Whether permutation `sigma` preserves `p`'s structure and labels. */
-  def preserves(p: Pattern, sigma: Map[Int, Int]): Boolean = {
-    def mapped(es: Set[(Int, Int)]): Set[(Int, Int)] =
-      es.map { case (u, v) => Pattern.norm(sigma(u), sigma(v)) }
-    mapped(p.edges) == p.edges &&
-    mapped(p.antiEdges) == p.antiEdges &&
-    p.vertices.forall(v => p.getLabel(v) == p.getLabel(sigma(v)))
+  /** The automorphisms of `p` that agree with `partial`, lazily. A partial
+    * map that no automorphism extends yields an empty iterator.
+    */
+  def extending(p: Pattern, partial: Map[Int, Int]): Iterator[Map[Int, Int]] = {
+    require(partial.keySet.subsetOf(p.vertices.toSet), s"partial map $partial leaves $p")
+    def signature(v: Int) =
+      (p.getLabel(v), p.isAntiVertex(v), p.degree(v), p.antiNeighbors(v).size)
+    val sig = p.vertices.map(v => v -> signature(v)).toMap
+    def fits(v: Int, w: Int, sigma: Map[Int, Int]): Boolean =
+      sig.get(w).contains(sig(v)) && !sigma.valuesIterator.contains(w) &&
+        sigma.forall { case (u, x) =>
+          p.areConnected(v, u) == p.areConnected(w, x) &&
+          p.areAntiAdjacent(v, u) == p.areAntiAdjacent(w, x)
+        }
+
+    // The vertices of `partial` first, then each time the one with the most
+    // (regular or anti) neighbours already placed, so adjacency prunes early.
+    val order = collection.mutable.ArrayBuffer.from(partial.keys)
+    while (order.size < p.numVertices)
+      order += p.vertices.filterNot(order.contains).maxBy { v =>
+        (p.getNeighbors(v) ++ p.antiNeighbors(v)).count(order.contains)
+      }
+
+    def search(i: Int, sigma: Map[Int, Int]): Iterator[Map[Int, Int]] =
+      if (i == order.size) Iterator.single(sigma)
+      else {
+        val v = order(i)
+        val images = partial.get(v).fold(p.vertices)(Vector(_))
+        images.iterator.filter(fits(v, _, sigma)).flatMap(w => search(i + 1, sigma + (v -> w)))
+      }
+    search(0, Map.empty)
   }
 
   /** Number of distinct actions of Aut(p) on the regular vertices.

@@ -99,20 +99,21 @@ final case class Pattern(
   def degree(u: Int): Int = getNeighbors(u).size
 
   /** Connectivity over the union of regular and anti edges. */
-  def isConnected: Boolean = connectedOver(v => getNeighbors(v) ++ antiNeighbors(v), vertices)
+  def isConnected: Boolean = connectedOver(v => getNeighbors(v) ++ antiNeighbors(v), vset)
 
   /** Connectivity of the regular part (regular vertices over regular edges) —
     * required by the matching engine, which traverses only regular edges.
     */
-  def regularPartConnected: Boolean = connectedOver(getNeighbors, regularVertices)
+  def regularPartConnected: Boolean = connectedOver(getNeighbors, regularVertices.toSet)
 
-  private def connectedOver(adj: Int => Set[Int], vs: Vector[Int]): Boolean =
+  /** Whether `vs` is connected by the edges `adj` gives between its members. */
+  def connectedOver(adj: Int => Set[Int], vs: Set[Int]): Boolean =
     vs.isEmpty || {
       val seen = collection.mutable.Set(vs.head)
       val stack = collection.mutable.Stack(vs.head)
       while (stack.nonEmpty) {
         val v = stack.pop()
-        for (w <- adj(v) if vs.contains(w) && seen.add(w)) stack.push(w)
+        for (w <- adj(v) if vs(w) && seen.add(w)) stack.push(w)
       }
       seen.size == vs.size
     }

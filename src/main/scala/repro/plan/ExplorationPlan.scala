@@ -1,6 +1,6 @@
 package repro.plan
 
-import repro.pattern.{Automorphism, Pattern}
+import repro.pattern.Pattern
 
 /** The exploration plan of Fig 5: everything the engine needs to find
   * canonical matches of `pattern` by guided traversal, with no per-match
@@ -25,7 +25,7 @@ final case class ExplorationPlan(
     orderClosure: Set[(Int, Int)],
     core: Set[Int],
     joinOrder: Vector[Int],
-    multiplicity: Int
+    multiplicity: Long
 )
 
 /** Computes exploration plans (Fig 5's `generatePlan`). */
@@ -40,7 +40,7 @@ object Planner {
         s"anti-vertex $av may only be anti-adjacent to regular vertices: $p"
       )
 
-    val (partialOrders, multiplicity) = SymmetryBreaking.breakSymmetry(p, Automorphism.all(p))
+    val (partialOrders, multiplicity) = SymmetryBreaking.breakSymmetry(p)
     val closure = SymmetryBreaking.closure(partialOrders)
     val core = VertexCover.minConnectedCover(p)
     val joinOrder = computeJoinOrder(p, core)

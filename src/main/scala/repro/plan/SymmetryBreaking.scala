@@ -19,32 +19,30 @@ import repro.pattern.{Automorphism, Pattern}
 object SymmetryBreaking {
 
   /** Ordering constraints (a, b) ⇒ m(a) < m(b). */
-  def partialOrders(p: Pattern): Seq[(Int, Int)] = breakSymmetry(p, Automorphism.all(p))._1
+  def partialOrders(p: Pattern): Seq[(Int, Int)] = breakSymmetry(p)._1
 
-  /** Ordering constraints and the regular multiplicity, both from the
-    * automorphism group `autos` of `p`.
+  /** Ordering constraints and the regular multiplicity of `p`.
     *
-    * Regular vertices are fixed in order: each one with a non-trivial orbit
-    * under the current stabilizer is ordered before the rest of its orbit,
-    * and the group shrinks to its stabilizer. Vertices before v stay fixed
-    * by every subgroup, so this picks the smallest movable vertex each time
-    * and ends at the automorphisms that fix every regular vertex. By
-    * orbit–stabilizer the product of the orbit sizes is then the number of
-    * distinct actions on the regular vertices
+    * Regular vertices are fixed in order. Each one's orbit under the
+    * pointwise stabilizer of the vertices fixed so far is found by asking,
+    * for every candidate w, whether some automorphism extends the fixed
+    * points plus v → w; the group itself is never built. A vertex with a
+    * non-trivial orbit is ordered before the rest of its orbit. Fixing every
+    * regular vertex ends at the automorphisms that act as the identity on
+    * them, so by orbit–stabilizer the product of the orbit sizes is the
+    * number of distinct actions on the regular vertices
     * (`Automorphism.regularMultiplicity`).
     */
-  def breakSymmetry(p: Pattern, autos: Seq[Map[Int, Int]]): (Seq[(Int, Int)], Int) = {
+  def breakSymmetry(p: Pattern): (Seq[(Int, Int)], Long) = {
     val conds = collection.mutable.ArrayBuffer.empty[(Int, Int)]
-    var stabilizer = autos
-    var multiplicity = 1
+    var fixed = Map.empty[Int, Int]
+    var multiplicity = 1L
     for (v <- p.regularVertices) {
-      val orbit = stabilizer.map(_(v)).toSet
-      if (orbit.size > 1) {
-        multiplicity *= orbit.size
-        // Orbits are label/kind-pure, so orbit members of a regular vertex are regular.
-        for (w <- (orbit - v).toSeq.sorted) conds += ((v, w))
-        stabilizer = stabilizer.filter(sigma => sigma(v) == v)
-      }
+      // Orbits are label/kind-pure, so orbit members of a regular vertex are regular.
+      val orbit = p.regularVertices.filter(w => Automorphism.extending(p, fixed + (v -> w)).hasNext)
+      multiplicity *= orbit.size
+      for (w <- orbit if w != v) conds += ((v, w))
+      fixed += v -> v
     }
     (conds.toSeq, multiplicity)
   }

@@ -30,23 +30,12 @@ object VertexCover {
     // restricted to the candidate set: an induced-subgraph view would
     // misclassify a cover vertex whose only within-cover incidences are
     // anti-edges as an anti-vertex.
-    def connectedWithin(s: Set[Int]): Boolean =
-      s.isEmpty || {
-        val seen = collection.mutable.Set(s.head)
-        val stack = collection.mutable.Stack(s.head)
-        while (stack.nonEmpty) {
-          val v = stack.pop()
-          for (w <- p.getNeighbors(v) if s(w) && seen.add(w)) stack.push(w)
-        }
-        seen.size == s.size
-      }
-
     val candidates = (1 to reg.size).iterator.flatMap { k =>
       reg.combinations(k).filter { combo =>
         val s = combo.toSet
         regularEdges.forall { case (u, v) => s(u) || s(v) } &&
         regularAnti.forall { case (u, v) => s(u) || s(v) } &&
-        connectedWithin(s)
+        p.connectedOver(p.getNeighbors, s)
       }
     }
     candidates.nextOption() match {

@@ -1,9 +1,9 @@
 package repro.core
 
-import repro.{SparkSpec, TestGraphs}
+import repro.{Check, SparkSpec, TestGraphs}
 import repro.apps.ClusteringCoeff
 import repro.graph.DataGraph
-import repro.pattern.Patterns
+import repro.pattern.{Pattern, Patterns}
 
 /** Existence queries and early termination (§5.3, Fig 4b/4f). */
 class ExistenceSpec extends SparkSpec {
@@ -11,19 +11,19 @@ class ExistenceSpec extends SparkSpec {
   private lazy val k4p = TestGraphs.dataGraph(spark, TestGraphs.k4Pendant)
   private lazy val er = TestGraphs.dataGraph(spark, TestGraphs.er(40, 100, seed = 51))
 
-  /** `existsClique`, checked to leave no RDD persisted beyond the graph's own. */
-  private def existsCliqueReleasing(g: DataGraph, k: Int): Boolean = {
+  /** `exists`, checked to leave no RDD persisted beyond the graph's own. */
+  private def existsReleasing(g: DataGraph, p: Pattern): Boolean = {
     g.adj.count() // materialize the graph's cached relation before the snapshot
     val before = spark.sparkContext.getPersistentRDDs.keySet
-    val found = Existence.existsClique(g, k)
-    assert(spark.sparkContext.getPersistentRDDs.keySet == before, s"k=$k")
+    val found = Existence.exists(g, p)
+    assert(spark.sparkContext.getPersistentRDDs.keySet == before, s"pattern $p")
     found
   }
 
-  test("existsClique finds the planted 4-clique") {
-    assert(Existence.existsClique(k4p, 3))
-    assert(Existence.existsClique(k4p, 4))
-    assert(!existsCliqueReleasing(k4p, 5))
+  test("exists finds the planted 4-clique") {
+    assert(Existence.exists(k4p, Patterns.generateClique(3)))
+    assert(Existence.exists(k4p, Patterns.generateClique(4)))
+    assert(!existsReleasing(k4p, Patterns.generateClique(5)))
   }
 
   test("exists on arbitrary patterns") {
@@ -32,18 +32,18 @@ class ExistenceSpec extends SparkSpec {
     assert(!Existence.exists(k4p, Patterns.generateStar(5))) // max degree is 4
   }
 
-  test("exists agrees with existsClique") {
+  test("exists agrees with the DuckDB count") {
     for (k <- 3 to 5) {
-      assert(Existence.exists(k4p, Patterns.generateClique(k)) ==
-             Existence.existsClique(k4p, k), s"k=$k")
+      val clique = Patterns.generateClique(k)
+      assert(Existence.exists(k4p, clique) == (Check.engineVsOracle(spark, k4p, clique) > 0), s"k=$k")
     }
-    assert(Existence.exists(er, Patterns.generateClique(3)) ==
-           Existence.existsClique(er, 3))
+    val triangle = Patterns.generateClique(3)
+    assert(Existence.exists(er, triangle) == (Check.engineVsOracle(spark, er, triangle) > 0))
   }
 
   test("large clique existence terminates fast on graphs without one") {
-    // The join pipeline empties early — this must complete quickly.
-    assert(!existsCliqueReleasing(er, 14))
+    // The frontier empties early — this must complete quickly.
+    assert(!existsReleasing(er, Patterns.generateClique(14)))
   }
 
   test("countAtLeast thresholds") {

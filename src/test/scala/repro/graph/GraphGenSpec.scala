@@ -2,6 +2,8 @@ package repro.graph
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, SynthData}
+import repro.core.Existence
+import repro.pattern.Patterns
 
 /** Synthetic graph generators (the dataset substitution of DESIGN.md §3). */
 class GraphGenSpec extends SparkSpec {
@@ -55,7 +57,7 @@ class GraphGenSpec extends SparkSpec {
 
   test("okLiteWithClique contains the planted clique") {
     val lite = GraphGen.okLiteWithClique(spark, k = 6, scale = 0.2)
-    assert(repro.core.Existence.existsClique(lite.graph, 6))
+    assert(Existence.exists(lite.graph, Patterns.generateClique(6)))
     lite.graph.unpersist()
   }
 

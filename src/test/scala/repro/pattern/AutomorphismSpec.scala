@@ -1,6 +1,7 @@
 package repro.pattern
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.VertexInduced
 
 class AutomorphismSpec extends AnyFunSuite {
 
@@ -89,7 +90,37 @@ class AutomorphismSpec extends AnyFunSuite {
 
   test("preserves rejects non-automorphisms") {
     val wedge = Patterns.generateChain(3) // 1-2-3, center 2
-    assert(!Automorphism.preserves(wedge, Map(1 -> 2, 2 -> 1, 3 -> 3)))
-    assert(Automorphism.preserves(wedge, Map(1 -> 3, 2 -> 2, 3 -> 1)))
+    assert(!BruteForceAutomorphism.preserves(wedge, Map(1 -> 2, 2 -> 1, 3 -> 3)))
+    assert(BruteForceAutomorphism.preserves(wedge, Map(1 -> 3, 2 -> 2, 3 -> 1)))
+  }
+
+  test("search agrees with brute force on motifs, their edge-induced forms and samples") {
+    val samples = Seq(
+      Patterns.generateChain(2).addLabel(1, 0).addLabel(2, 1),
+      Patterns.generateChain(2).addLabel(1, 0).addLabel(2, 0),
+      Patterns.generateChain(3).addLabel(1, 5),
+      Pattern.fromEdges((1, 2), (2, 3), (3, 4), (4, 1), (2, 4)).addLabel(1, 0).addLabel(3, 0),
+      Patterns.generateClique(3).addAntiEdge(1, 4).addAntiEdge(3, 4),
+      Patterns.generateClique(3).addAntiEdge(1, 4).addAntiEdge(2, 4).addAntiEdge(3, 4),
+      Patterns.generateChain(2).addAntiEdge(1, 3).addAntiEdge(2, 3).addAntiEdge(1, 4).addAntiEdge(2, 4)
+    )
+    val upTo5 = (2 to 5).flatMap(Patterns.generateAllVertexInduced)
+    // Every connected graph has a vertex whose removal leaves it connected, so
+    // extending the 5-vertex motifs by a vertex yields all 112 6-vertex ones
+    // (far faster than generateAllVertexInduced(6), which canonicalizes ~26K graphs).
+    val six = Patterns.extendByVertex(Patterns.generateAllVertexInduced(5))
+    assert(six.size == 112)
+    val patterns = upTo5 ++ six ++ upTo5.map(VertexInduced.toEdgeInduced) ++ samples
+    for (p <- patterns)
+      assert(Automorphism.all(p).toSet == BruteForceAutomorphism.all(p).toSet, s"pattern $p")
+  }
+
+  test("extending respects the partial map and rejects inconsistent ones") {
+    val diamond = Pattern.fromEdges((1, 2), (2, 3), (3, 4), (4, 1), (2, 4))
+    assert(Automorphism.extending(diamond, Map(1 -> 3)).toSet ==
+      BruteForceAutomorphism.all(diamond).filter(_(1) == 3).toSet)
+    assert(!Automorphism.extending(diamond, Map(1 -> 2)).hasNext) // degree 2 vs 3
+    assert(!Automorphism.extending(diamond, Map(1 -> 3, 2 -> 2, 3 -> 3)).hasNext) // not injective
+    assert(!Automorphism.extending(Patterns.generateChain(4), Map(1 -> 4, 2 -> 2)).hasNext) // 4 ≁ 2
   }
 }

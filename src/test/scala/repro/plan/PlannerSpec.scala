@@ -73,4 +73,21 @@ class PlannerSpec extends AnyFunSuite {
     for (p <- (2 to 5).flatMap(Patterns.generateAllVertexInduced) ++ antiSamples)
       assert(Planner.plan(p).multiplicity == Automorphism.regularMultiplicity(p), s"pattern $p")
   }
+
+  test("14-clique plan: multiplicity 14! and a total order") {
+    val plan = Planner.plan(Patterns.generateClique(14))
+    assert(plan.multiplicity == 87178291200L)
+    assert(plan.orderClosure.size == 91)
+    for (a <- 1 to 14; b <- a + 1 to 14) assert(plan.orderClosure((a, b)), s"($a,$b)")
+  }
+
+  test("large patterns plan without enumerating permutations") {
+    val cycle12 = Pattern.fromEdges(((1 to 11).map(i => (i, i + 1)) :+ ((12, 1))): _*)
+    for (p <- (10 to 14).map(Patterns.generateClique) ++ Seq(cycle12, Patterns.generateStar(11))) {
+      val t0 = System.nanoTime()
+      Planner.plan(p)
+      val secs = (System.nanoTime() - t0) / 1e9
+      assert(secs <= 2.0, s"planning $p took $secs s")
+    }
+  }
 }

@@ -1,7 +1,7 @@
 package repro.plan
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.pattern.{Automorphism, Pattern, Patterns}
+import repro.pattern.{BruteForceAutomorphism, Pattern, Patterns}
 
 class SymmetryBreakingSpec extends AnyFunSuite {
 
@@ -11,7 +11,7 @@ class SymmetryBreakingSpec extends AnyFunSuite {
   private def breaksAllSymmetries(p: Pattern): Unit = {
     val conds = SymmetryBreaking.partialOrders(p)
     val reg = p.regularVertices
-    val surviving = Automorphism.all(p).filter { sigma =>
+    val surviving = BruteForceAutomorphism.all(p).filter { sigma =>
       // An automorphism is consistent iff composing any valid assignment
       // with it can still satisfy all conditions: σ maps condition (a,b) to
       // (σ(a),σ(b)), which must not contradict the order.
@@ -104,7 +104,7 @@ class SymmetryBreakingSpec extends AnyFunSuite {
 
   test("ordering conditions relate vertices in the same orbit") {
     for (k <- 2 to 5; p <- Patterns.generateAllVertexInduced(k)) {
-      val autos = Automorphism.all(p)
+      val autos = BruteForceAutomorphism.all(p)
       for ((a, b) <- SymmetryBreaking.partialOrders(p))
         assert(autos.exists(s => s(a) == b), s"condition ($a,$b) not orbit-justified in $p")
     }
