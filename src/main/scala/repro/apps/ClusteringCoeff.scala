@@ -40,6 +40,6 @@ object ClusteringCoeff {
     // the neighbours are checked with the same division `coefficient` uses.
     val t = math.floor(bound * triplets / 3.0).toLong + 1
     val needed = Seq(t - 1, t, t + 1).find(n => 3.0 * n / triplets > bound).getOrElse(t + 1)
-    needed <= 0 || Existence.countAtLeast(MatchEngine.matches(g, Patterns.generateClique(3)), needed)
+    needed <= 0 || Existence.countAtLeast(g, Patterns.generateClique(3), needed)
   }
 }

@@ -3,9 +3,10 @@ package repro.bench
 import org.apache.spark.sql.SparkSession
 import repro.apps.{CliqueCount, ClusteringCoeff, EvalPatterns, Fsm, MotifCount}
 import repro.baseline.{BfsEnumerator, DfsEnumerator, GMinerStyle}
-import repro.core.{Existence, MatchEngine}
+import repro.core.{Existence, MatchEngine, PlanExecutor, VertexInduced}
 import repro.graph.{DataGraph, GraphStats}
-import repro.pattern.Patterns
+import repro.pattern.{Pattern, Patterns}
+import repro.plan.Planner
 
 /** Runners reproducing each evaluation table. Every cell reports the value
   * produced (a count / pattern total) and the wall-clock seconds; baseline
@@ -325,11 +326,15 @@ object Tables {
       s"explored=$explored (${if (result == 0) "-" else f"${explored.toDouble / result}%.1fx"}) canon=$canon iso=$iso"
 
     val g = d.pa
-    val cliques = CliqueCount.count(g, 4)
-    val motifs = MotifCount.total(g, 3)
+    // PRG's explored count: the partial matches its executor accepted at
+    // every join-order position, so non-matching prefixes count too.
+    def prg(ps: Seq[Pattern]): Cell = {
+      val rs = ps.map(p => PlanExecutor.run(g, Planner.plan(p)))
+      Cell(fmt(rs.map(_.accepted.sum).sum, 0, 0, rs.map(_.count).sum), None)
+    }
     val rows = Seq(
       ("4-Clique profile", "PA", Seq(
-        "PRG" -> Cell(fmt(cliques, 0, 0, cliques), None),
+        "PRG" -> prg(Seq(Patterns.generateClique(4))),
         "RS" -> cell("rs-prof-c4") {
           val (n, p) = BfsEnumerator.cliqueCount(spark, g, 4, rstream = true)
           fmt(p.explored, p.canonicality, p.isomorphism, n)
@@ -344,7 +349,7 @@ object Tables {
         }
       )),
       ("3-Motif profile", "PA", Seq(
-        "PRG" -> Cell(fmt(motifs, 0, 0, motifs), None),
+        "PRG" -> prg(Patterns.generateAllVertexInduced(3).map(VertexInduced.toEdgeInduced)),
         "RS" -> cell("rs-prof-m3") {
           val (c, p) = BfsEnumerator.motifCounts(spark, g, 3, rstream = true)
           fmt(p.explored, p.canonicality, p.isomorphism, c.values.sum)

@@ -33,6 +33,12 @@ import repro.plan.{ExplorationPlan, Planner}
   * holds no matching orders; the engine consumes `plan.joinOrder` +
   * `plan.orderClosure`.
   *
+  * Counting and existence do not materialize matches: `countMatches` and
+  * `Existence` run the same plan on `PlanExecutor`, which intersects sorted
+  * adjacency lists of the broadcast CSR. The join compiler serves `matches`
+  * (listing, FSM/MNI aggregation) and is the tests' second, independent
+  * implementation of every plan.
+  *
   * With `symmetry = false` the engine models pattern-UNaware systems
   * (PRG-U, §6.6): order predicates are replaced by plain ≠ constraints, so
   * every automorphic image is generated and counting must divide by the
@@ -63,21 +69,7 @@ object MatchEngine {
       plan: ExplorationPlan,
       symmetry: Boolean = true,
       discoverLabels: Boolean = false
-  ): DataFrame =
-    steps(g, plan, symmetry, discoverLabels).foldLeft(g.vertices)((df, step) => step(df))
-
-  /** The plan as steps, each extending the partial matches the ones before
-    * it produced: one step per join-order vertex (the first one starts from
-    * `g.vertices`), then one per anti-vertex. `matchesWithPlan` composes
-    * them into one lazy join program; `Existence.exists` runs them one at a
-    * time.
-    */
-  def steps(
-      g: DataGraph,
-      plan: ExplorationPlan,
-      symmetry: Boolean = true,
-      discoverLabels: Boolean = false
-  ): Seq[DataFrame => DataFrame] = {
+  ): DataFrame = {
     val p = plan.pattern
     val order = plan.joinOrder
     require(
@@ -157,19 +149,19 @@ object MatchEngine {
       df.join(wdf.select(matchCols.map(col): _*), matchCols, "left_anti")
     }
 
-    order.indices.map(i => vertexStep(order(i), order.take(i)) _) ++
-      p.antiVertices.map(av => antiVertexStep(av) _)
+    val regular = order.indices.foldLeft(g.vertices)((df, i) => vertexStep(order(i), order.take(i))(df))
+    p.antiVertices.foldLeft(regular)((df, av) => antiVertexStep(av)(df))
   }
 
-  /** Count canonical matches. With symmetry breaking the match set is
-    * already canonical; without it (PRG-U) every automorphic image is
-    * generated, so the count is divided by the multiplicity — exactly
-    * AutoMine's counting correction, which is why PRG-U cannot '''list'''
-    * unique matches (§2.2.2).
+  /** Count canonical matches, on `PlanExecutor`. With symmetry breaking the
+    * match set is already canonical; without it (PRG-U) every automorphic
+    * image is generated, so the count is divided by the multiplicity —
+    * exactly AutoMine's counting correction, which is why PRG-U cannot
+    * '''list''' unique matches (§2.2.2).
     */
   def countMatches(g: DataGraph, p: Pattern, symmetry: Boolean = true): Long = {
     val plan = Planner.plan(p)
-    val n = matchesWithPlan(g, plan, symmetry).count()
+    val n = PlanExecutor.run(g, plan, symmetry).count
     if (symmetry) n
     else {
       require(n % plan.multiplicity == 0, s"raw count $n not divisible by multiplicity ${plan.multiplicity}")

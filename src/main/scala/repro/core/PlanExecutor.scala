@@ -1,0 +1,227 @@
+package repro.core
+
+import org.apache.spark.{TaskContext, TaskKilledException}
+import repro.graph.{Csr, DataGraph}
+import repro.plan.ExplorationPlan
+
+/** Peregrine's matching engine (§5.1–5.3) over the broadcast degree-ordered
+  * CSR of a `DataGraph`: it counts the matches of an exploration plan without
+  * materializing any of them.
+  *
+  * One `mapPartitions` job runs T = 4 × `defaultParallelism` tasks. Task j
+  * takes the roots j, j + T, … places from the top of the id order, high to
+  * low (§5.2: ids are degree ranks), and from each root binds the vertices
+  * of `plan.joinOrder` by backtracking, counting inside the task:
+  *
+  *  - a vertex's candidates are the adjacency list of its bound pattern
+  *    neighbour of smallest data degree, cut by binary search to the id
+  *    range the partial orders allow (§4.1);
+  *  - the other bound neighbours are checked by binary search (sorted-list
+  *    intersection), anti-edges by the edge's absence (§4.2), and unordered
+  *    unconnected pairs by ≠; labels are checked per candidate;
+  *  - once every regular vertex is bound, each anti-vertex (§4.3) needs the
+  *    common neighbourhood of its anti-neighbours' images, minus the images
+  *    of those vertices' pattern neighbours, to be empty (as
+  *    `MatchEngine`'s anti-vertex join has it).
+  *
+  * With `symmetry = false` the order bounds are dropped and every
+  * automorphic image is found (PRG-U). `limit` stops each task once it has
+  * found that many matches (early termination, §5.3). Tasks check for
+  * cancellation every few thousand candidates, so a cancelled job ends.
+  */
+object PlanExecutor {
+
+  /** `count` matches; `accepted(i)` partial matches that passed every check
+    * of join-order position i (before the anti-vertex checks), summed over
+    * the tasks.
+    */
+  final case class Result(count: Long, accepted: Vector[Long])
+
+  def run(g: DataGraph, plan: ExplorationPlan, symmetry: Boolean = true, limit: Long = Long.MaxValue): Result = {
+    val prog = Program(plan, symmetry)
+    val labeled = prog.label.exists(_ != Csr.NoLabel)
+    require(!labeled || g.labels.isDefined, "labeled pattern requires a labeled graph")
+    val csr = g.csr
+    val labels = if (labeled) g.labelArray else None
+    val sc = g.edges.sparkSession.sparkContext
+    val tasks = 4 * sc.defaultParallelism
+    val perTask = sc
+      .parallelize(0 until tasks, tasks)
+      .mapPartitions { js =>
+        val search = new Search(prog, csr.value, labels.map(_.value).orNull, limit)
+        js.foreach(j => search.roots(j, tasks))
+        Iterator(search.count +: search.accepted)
+      }
+      .collect()
+    Result(perTask.map(_.head).sum, prog.nbrs.indices.map(i => perTask.map(_(i + 1)).sum).toVector)
+  }
+
+  /** The plan as arrays over join-order positions; each constraint sits at
+    * the later of the two positions it relates.
+    */
+  private final case class Program(
+      label: Array[Int],            // Csr.NoLabel for a wildcard
+      nbrs: Array[Array[Int]],      // earlier positions adjacent in the pattern
+      anti: Array[Array[Int]],      // earlier positions anti-adjacent
+      above: Array[Array[Int]],     // earlier positions whose image must be smaller
+      below: Array[Array[Int]],     // earlier positions whose image must be larger
+      distinct: Array[Array[Int]],  // earlier positions whose image must only differ
+      avNbrs: Array[Array[Int]],    // per anti-vertex: its anti-neighbours' positions
+      avExcused: Array[Array[Int]]  // per anti-vertex: positions whose images are excused
+  )
+
+  private object Program {
+    def apply(plan: ExplorationPlan, symmetry: Boolean): Program = {
+      val p = plan.pattern
+      val order = plan.joinOrder
+      val pos = order.zipWithIndex.toMap
+      def lt(v: Int, w: Int) = symmetry && plan.orderClosure.contains((v, w))
+      def earlier(i: Int)(rel: (Int, Int) => Boolean): Array[Int] =
+        (0 until i).filter(j => rel(order(i), order(j))).toArray
+      val nbrs = order.indices.map(i => earlier(i)(p.areConnected)).toArray
+      for (i <- 1 until order.size if nbrs(i).isEmpty)
+        throw new IllegalStateException(s"join order not connectivity-respecting at ${order(i)}")
+      Program(
+        label = order.map(v => p.getLabel(v).getOrElse(Csr.NoLabel)).toArray,
+        nbrs = nbrs,
+        anti = order.indices.map(i => earlier(i)(p.areAntiAdjacent)).toArray,
+        above = order.indices.map(i => earlier(i)((v, w) => lt(w, v))).toArray,
+        below = order.indices.map(i => earlier(i)(lt)).toArray,
+        distinct = order.indices.map(i => earlier(i)((v, w) => !p.areConnected(v, w) && !lt(v, w) && !lt(w, v))).toArray,
+        avNbrs = p.antiVertices.map(av => p.antiNeighbors(av).toArray.sorted.map(pos)).toArray,
+        avExcused = p.antiVertices.map { av =>
+          p.antiNeighbors(av).flatMap(p.getNeighbors).toArray.sorted.map(pos)
+        }.toArray
+      )
+    }
+  }
+
+  /** One task's backtracking search; `labels` is null when no position is
+    * labeled.
+    */
+  private final class Search(prog: Program, csr: Csr, labels: Array[Int], limit: Long) {
+    private val k = prog.nbrs.length
+    private val m = new Array[Int](k)
+    private val ctx = TaskContext.get()
+    private var work = 0
+    val accepted = new Array[Long](k)
+    var count = 0L
+
+    /** Roots j, j + tasks, … places below the highest id. */
+    def roots(j: Int, tasks: Int): Unit = {
+      var r = csr.numVertices - 1 - j
+      while (r >= 0 && count < limit) {
+        tick()
+        if (accepts(0, r, -1)) bind(0, r)
+        r -= tasks
+      }
+    }
+
+    private def bind(i: Int, c: Int): Unit = {
+      m(i) = c
+      accepted(i) += 1
+      if (i + 1 < k) extend(i + 1)
+      else if (antiVerticesHold) count += 1
+    }
+
+    private def extend(i: Int): Unit = {
+      val anchor = smallest(prog.nbrs(i))
+      var lo = csr.offsets(anchor)
+      var hi = csr.offsets(anchor + 1)
+      val above = prog.above(i)
+      if (above.nonEmpty) lo = csr.lowerBound(lo, hi, maxImage(above) + 1)
+      val below = prog.below(i)
+      if (below.nonEmpty) hi = csr.lowerBound(lo, hi, minImage(below))
+      while (lo < hi && count < limit) {
+        val c = csr.nbrs(lo)
+        tick()
+        if (accepts(i, c, anchor)) bind(i, c)
+        lo += 1
+      }
+    }
+
+    /** Every check of position `i` on candidate `c`, except adjacency to `anchor`. */
+    private def accepts(i: Int, c: Int, anchor: Int): Boolean = {
+      if (prog.label(i) != Csr.NoLabel && labels(c) != prog.label(i)) return false
+      val distinct = prog.distinct(i)
+      var j = 0
+      while (j < distinct.length) { if (m(distinct(j)) == c) return false; j += 1 }
+      val nbrs = prog.nbrs(i)
+      j = 0
+      while (j < nbrs.length) {
+        val w = m(nbrs(j))
+        if (w != anchor && !csr.hasEdge(w, c)) return false
+        j += 1
+      }
+      val anti = prog.anti(i)
+      j = 0
+      while (j < anti.length) { if (csr.hasEdge(m(anti(j)), c)) return false; j += 1 }
+      true
+    }
+
+    private def antiVerticesHold: Boolean = {
+      var a = 0
+      while (a < prog.avNbrs.length) {
+        if (commonNeighbour(prog.avNbrs(a), prog.avExcused(a))) return false
+        a += 1
+      }
+      true
+    }
+
+    /** Whether the images of `ns` share a neighbour that is not the image of
+      * an `excused` position.
+      */
+    private def commonNeighbour(ns: Array[Int], excused: Array[Int]): Boolean = {
+      val anchor = smallest(ns)
+      var q = csr.offsets(anchor)
+      val end = csr.offsets(anchor + 1)
+      while (q < end) {
+        val w = csr.nbrs(q)
+        tick()
+        var ok = true
+        var j = 0
+        while (ok && j < excused.length) { ok = m(excused(j)) != w; j += 1 }
+        j = 0
+        while (ok && j < ns.length) {
+          val x = m(ns(j))
+          ok = x == anchor || csr.hasEdge(x, w)
+          j += 1
+        }
+        if (ok) return true
+        q += 1
+      }
+      false
+    }
+
+    /** The image of smallest degree among positions `ps`. */
+    private def smallest(ps: Array[Int]): Int = {
+      var best = m(ps(0))
+      var j = 1
+      while (j < ps.length) {
+        val v = m(ps(j))
+        if (csr.degree(v) < csr.degree(best)) best = v
+        j += 1
+      }
+      best
+    }
+
+    private def maxImage(ps: Array[Int]): Int = {
+      var x = Int.MinValue
+      var j = 0
+      while (j < ps.length) { x = math.max(x, m(ps(j))); j += 1 }
+      x
+    }
+
+    private def minImage(ps: Array[Int]): Int = {
+      var x = Int.MaxValue
+      var j = 0
+      while (j < ps.length) { x = math.min(x, m(ps(j))); j += 1 }
+      x
+    }
+
+    private def tick(): Unit = {
+      work += 1
+      if ((work & 4095) == 0 && ctx.isInterrupted()) throw new TaskKilledException("cancelled")
+    }
+  }
+}

@@ -1,5 +1,6 @@
 package repro.graph
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
@@ -17,6 +18,11 @@ import org.apache.spark.sql.functions._
   * @param vertices single column `v` — every vertex incident to an edge
   * @param labels   optional (v, lab) after the same relabeling
   * @param mapping  (orig, v): original id → degree-ranked id (for debugging)
+  *
+  * The plan executor reads the graph as a broadcast `Csr` (and, for labeled
+  * patterns, a broadcast label array). Both are built on first use, the way
+  * the cached relations fill on their first scan, so a graph that is only
+  * queried through joins never pays for them.
   */
 final case class DataGraph(
     edges: DataFrame,
@@ -27,10 +33,44 @@ final case class DataGraph(
     numVertices: Long,
     numEdges: Long
 ) {
+  private var csrB: Broadcast[Csr] = _
+  private var labelsB: Broadcast[Array[Int]] = _
+
+  /** The graph as a broadcast CSR, built from one collect of `edges`. */
+  def csr: Broadcast[Csr] = synchronized {
+    if (csrB == null) {
+      require(numVertices < Int.MaxValue, s"$numVertices vertices do not fit Int ids")
+      val packed = edges.rdd
+        .mapPartitions(rows => Iterator(rows.map(r => (r.getLong(0) << 32) | r.getLong(1)).toArray))
+        .collect()
+        .flatten
+      csrB = edges.sparkSession.sparkContext.broadcast(Csr.fromPackedEdges(numVertices.toInt, packed))
+    }
+    csrB
+  }
+
+  /** Label of every vertex id (`Csr.NoLabel` where none), broadcast; `None`
+    * for an unlabeled graph.
+    */
+  def labelArray: Option[Broadcast[Array[Int]]] = labels.map { lf =>
+    synchronized {
+      if (labelsB == null) {
+        val arr = Array.fill(numVertices.toInt)(Csr.NoLabel)
+        for (r <- lf.collect()) arr(r.getLong(0).toInt) = r.getInt(1)
+        labelsB = lf.sparkSession.sparkContext.broadcast(arr)
+      }
+      labelsB
+    }
+  }
+
   /** Release cached state (benchmarks build many graphs). */
   def unpersist(): Unit = {
     edges.unpersist(); adj.unpersist(); vertices.unpersist()
     labels.foreach(_.unpersist()); mapping.unpersist()
+    synchronized {
+      Option(csrB).foreach(_.destroy()); csrB = null
+      Option(labelsB).foreach(_.destroy()); labelsB = null
+    }
   }
 }
 

@@ -11,14 +11,17 @@ import repro.pattern.{CanonicalForm, Pattern, PatternCodec}
 object Check {
 
   /** Engine count of `p` in `g`, verified against the DuckDB oracle running
-    * the independently-compiled counting SQL over the same edge relation.
+    * the independently-compiled counting SQL over the same edge relation,
+    * and against the plan executor's count.
     */
   def engineVsOracle(spark: SparkSession, g: DataGraph, p: Pattern): Long = {
     val m = MatchEngine.matches(g, p)
     val cnt = m.agg(count(lit(1)) as "cnt")
     val tables = Seq("g" -> g.adj) ++ g.labels.map("lab" -> _).toSeq
     Oracle.assertEquivalent(cnt, PatternSql.countSql(p), tables: _*)
-    m.count()
+    val n = m.count()
+    assert(MatchEngine.countMatches(g, p) == n, s"executor count of $p differs from the join engine's $n")
+    n
   }
 
   /** Assert a literal Spark-side value equals the oracle's SQL result. */

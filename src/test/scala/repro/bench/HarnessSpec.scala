@@ -1,6 +1,8 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
+import repro.core.MatchEngine
+import repro.pattern.Patterns
 
 class HarnessSpec extends SparkSpec {
 
@@ -15,5 +17,18 @@ class HarnessSpec extends SparkSpec {
     assert(cell == Harness.Cell("x", None))
     assert(sc.statusTracker.getActiveJobIds().isEmpty)
     assert(sc.getPersistentRDDs.keySet == before)
+  }
+
+  test("a count over budget is cancelled inside the executor's tasks") {
+    val sc = spark.sparkContext
+    // Dense enough that its 6-spoke stars take far longer than the budget.
+    val g = TestGraphs.dataGraph(spark, TestGraphs.er(200, 8000, seed = 61))
+    g.csr
+    val before = sc.getPersistentRDDs.keySet
+    val cell = Harness.budgeted(spark, "star6", 1)(MatchEngine.countMatches(g, Patterns.generateStar(6)).toString)
+    assert(cell == Harness.Cell("x", None))
+    assert(sc.statusTracker.getActiveJobIds().isEmpty)
+    assert(sc.getPersistentRDDs.keySet == before)
+    g.unpersist()
   }
 }

@@ -11,14 +11,17 @@ class ExistenceSpec extends SparkSpec {
   private lazy val k4p = TestGraphs.dataGraph(spark, TestGraphs.k4Pendant)
   private lazy val er = TestGraphs.dataGraph(spark, TestGraphs.er(40, 100, seed = 51))
 
-  /** `exists`, checked to leave no RDD persisted beyond the graph's own. */
-  private def existsReleasing(g: DataGraph, p: Pattern): Boolean = {
+  /** `f` on `g`, checked to leave no RDD persisted beyond the graph's own. */
+  private def releasing[A](g: DataGraph, what: String)(f: => A): A = {
     g.adj.count() // materialize the graph's cached relation before the snapshot
     val before = spark.sparkContext.getPersistentRDDs.keySet
-    val found = Existence.exists(g, p)
-    assert(spark.sparkContext.getPersistentRDDs.keySet == before, s"pattern $p")
-    found
+    val out = f
+    assert(spark.sparkContext.getPersistentRDDs.keySet == before, what)
+    out
   }
+
+  private def existsReleasing(g: DataGraph, p: Pattern): Boolean =
+    releasing(g, s"exists $p")(Existence.exists(g, p))
 
   test("exists finds the planted 4-clique") {
     assert(Existence.exists(k4p, Patterns.generateClique(3)))
@@ -47,12 +50,12 @@ class ExistenceSpec extends SparkSpec {
   }
 
   test("countAtLeast thresholds") {
-    val triangles = MatchEngine.countMatches(er, Patterns.generateClique(3))
+    val triangle = Patterns.generateClique(3)
+    val triangles = releasing(er, "countMatches")(MatchEngine.countMatches(er, triangle))
     assert(triangles > 1)
-    val m = MatchEngine.matches(er, Patterns.generateClique(3))
-    assert(Existence.countAtLeast(m, 1))
-    assert(Existence.countAtLeast(m, triangles))
-    assert(!Existence.countAtLeast(m, triangles + 1))
+    assert(Existence.countAtLeast(er, triangle, 1))
+    assert(Existence.countAtLeast(er, triangle, triangles))
+    assert(!Existence.countAtLeast(er, triangle, triangles + 1))
   }
 
   test("clustering coefficient of fig6 (2 triangles, 14 wedges)") {

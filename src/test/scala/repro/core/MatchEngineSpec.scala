@@ -144,6 +144,9 @@ class MatchEngineSpec extends SparkSpec {
     assertThrows[IllegalArgumentException] {
       MatchEngine.matches(er, Patterns.generateChain(2).addLabel(1, 0))
     }
+    assertThrows[IllegalArgumentException] {
+      MatchEngine.countMatches(er, Patterns.generateChain(2).addLabel(1, 0))
+    }
   }
 
   test("label discovery adds label columns") {

@@ -34,6 +34,19 @@ class DataGraphSpec extends SparkSpec {
     assert(degs.map(_._2).sliding(2).forall(w => w.length < 2 || w(0) <= w(1)))
   }
 
+  test("the CSR holds each vertex's sorted adjacency, and labels by id") {
+    val edges = TestGraphs.skewed(40, 120, seed = 73)
+    val g = TestGraphs.dataGraph(spark, edges, TestGraphs.labels(40, 3, seed = 74))
+    val csr = g.csr.value
+    assert(csr.numVertices == g.numVertices)
+    val adj = g.adj.collect().groupBy(_.getLong(0)).map { case (v, rs) => v.toInt -> rs.map(_.getLong(1).toInt).sorted.toSeq }
+    for (v <- 0 until csr.numVertices)
+      assert(csr.nbrs.slice(csr.offsets(v), csr.offsets(v + 1)).toSeq == adj(v), s"vertex $v")
+    val labs = g.labels.get.collect().map(r => r.getLong(0).toInt -> r.getInt(1)).toMap
+    assert(g.labelArray.get.value.toSeq == (0 until csr.numVertices).map(labs))
+    g.unpersist()
+  }
+
   test("isolated vertices are dropped") {
     import spark.implicits._
     val raw = Seq((1L, 2L)).toDF("src", "dst")
