@@ -1,7 +1,7 @@
 package repro.apps
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{MatchEngine, MniSupport}
+import repro.core.MniSupport
 import repro.graph.DataGraph
 import repro.pattern.{CanonicalForm, Pattern, Patterns}
 
@@ -49,18 +49,15 @@ object Fsm {
       val shapes = CanonicalForm.distinct(
         candidates.map(c => c.copy(labels = Map.empty))
       )
-      val discovered = shapes.flatMap { shape =>
-        val m = MatchEngine.matches(g, shape, symmetry, discoverLabels = true)
-        MniSupport.labeledSupports(spark, shape, m)
-      }
+      val discovered = shapes.flatMap(MniSupport.labeledSupports(g, _, symmetry)).filter(_._2 >= threshold)
       // The same labeled pattern can be discovered from different candidate
       // extensions — keep one entry per canonical labeled pattern.
-      val unique = discovered
+      val frequent = discovered
         .groupBy { case (p, _) => CanonicalForm.key(p) }
         .values
         .map(_.head)
         .toSeq
-      val frequent = unique.filter(_._2 >= threshold).sortBy(p => CanonicalForm.key(p._1))
+        .sortBy(p => CanonicalForm.key(p._1))
       out(e) = frequent
       frontier = frequent.map(_._1)
       if (frontier.isEmpty) return Result(out.toMap)

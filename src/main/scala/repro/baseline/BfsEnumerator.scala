@@ -39,12 +39,11 @@ object BfsEnumerator {
       cliquesOnly: Boolean = false
   ): (DataFrame, Profile) = {
     val t = new Tally
-    val lgB = spark.sparkContext.broadcast(LocalGraph.fromDataGraph(g))
-    val canonUdf = udf((vs: Seq[Long]) => IsoCheck.isCanonicalSeq(vs, lgB.value))
+    val csr = g.csr
+    val canonUdf = udf((vs: Seq[Long]) => IsoCheck.isCanonicalSeq(vs, csr.value))
     val cliqueUdf = udf { (vs: Seq[Long]) =>
-      val lg = lgB.value
-      val w = vs.last
-      vs.init.forall(u => lg.connected(u, w))
+      val w = vs.last.toInt
+      vs.init.forall(u => csr.value.hasEdge(u.toInt, w))
     }
 
     var df = g.vertices.select(array(col("v")) as "vs").cache()
@@ -108,9 +107,9 @@ object BfsEnumerator {
       rstream: Boolean
   ): (Map[String, Long], Profile) = {
     val (sets, p0) = inducedSets(spark, g, size, rstream)
-    val lgB = spark.sparkContext.broadcast(LocalGraph.fromDataGraph(g))
+    val csr = g.csr
     val keyUdf = udf { (vs: Seq[Long]) =>
-      IsoCheck.patternKeyAndAssignment(IsoCheck.inducedPattern(vs, lgB.value, withLabels = false), vs)._1
+      IsoCheck.patternKeyAndAssignment(IsoCheck.inducedPattern(vs, csr.value), vs)._1
     }
     val grouped = sets.select(keyUdf(col("vs")) as "key").groupBy("key").count().collect()
     val total = grouped.map(_.getLong(1)).sum
@@ -141,11 +140,11 @@ object BfsEnumerator {
       threshold: Option[Long] = None
   ): (Seq[(Pattern, Long)], Profile) = {
     val t = new Tally
-    val lgB = spark.sparkContext.broadcast(LocalGraph.fromDataGraph(g))
+    val labels = g.labelArray
 
     val keyUdf = udf { (es: Seq[Long]) =>
       val pairs = es.grouped(2).map(p => (p(0), p(1))).toSeq
-      val (pat, vs) = IsoCheck.edgePattern(pairs, lgB.value, withLabels = true)
+      val (pat, vs) = IsoCheck.edgePattern(pairs, labels.map(_.value).orNull)
       val (key, assigned) = IsoCheck.patternKeyAndAssignment(pat, vs)
       (key, assigned)
     }

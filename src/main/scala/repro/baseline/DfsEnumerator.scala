@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.util.LongAccumulator
 import repro.core.MniSupport
-import repro.graph.DataGraph
+import repro.graph.{Csr, DataGraph}
 import repro.pattern.{Automorphism, Pattern, PatternCodec}
 
 /** Depth-first, pattern-UNaware exploration — the Fractal [12] model of
@@ -39,8 +39,8 @@ object DfsEnumerator {
     * native clique support (isomorphism count 0 in Fig 1b).
     */
   private def esuFrom(
-      root: Long,
-      lg: LocalGraph,
+      root: Int,
+      csr: Csr,
       k: Int,
       cliquesOnly: Boolean,
       accs: Accs
@@ -49,28 +49,28 @@ object DfsEnumerator {
     var explored = 0L
     var checks = 0L
 
-    def nExcl(w: Long, sub: Seq[Long], subNbr: Set[Long]): Seq[Long] =
-      lg.neighbors(w).toSeq.filter { u =>
+    def nExcl(w: Int, sub: Seq[Int], subNbr: Set[Int]): Seq[Int] =
+      csr.neighbors(w).toSeq.filter { u =>
         checks += 1
         u > root && !sub.contains(u) && !subNbr(u)
       }
 
-    def extend(sub: List[Long], ext: List[Long], subNbr: Set[Long]): Unit = {
+    def extend(sub: List[Int], ext: List[Int], subNbr: Set[Int]): Unit = {
       explored += 1
-      if (sub.size == k) { out += sub.reverse; return }
+      if (sub.size == k) { out += sub.reverse.map(_.toLong); return }
       var rest = ext
       while (rest.nonEmpty) {
         val w = rest.head
         rest = rest.tail
-        if (!cliquesOnly || sub.forall(u => { checks += 1; lg.connected(u, w) })) {
+        if (!cliquesOnly || sub.forall(u => { checks += 1; csr.hasEdge(u, w) })) {
           val fresh = nExcl(w, sub, subNbr)
-          extend(w :: sub, rest ++ fresh, subNbr ++ lg.neighbors(w))
+          extend(w :: sub, rest ++ fresh, subNbr ++ csr.neighbors(w))
         }
       }
     }
 
-    val initExt = lg.neighbors(root).toSeq.filter { u => checks += 1; u > root }
-    extend(List(root), initExt.toList, lg.neighbors(root).toSet + root)
+    val initExt = csr.neighbors(root).toSeq.filter { u => checks += 1; u > root }
+    extend(List(root), initExt.toList, csr.neighbors(root).toSet + root)
     accs.explored.add(explored)
     accs.canonicality.add(checks)
     out.toSeq
@@ -84,11 +84,11 @@ object DfsEnumerator {
   ): (DataFrame, Accs) = {
     import spark.implicits._
     val accs = newAccs(spark)
-    val lgB = spark.sparkContext.broadcast(LocalGraph.fromDataGraph(g))
+    val csr = g.csr
     val sets = g.vertices
       .select(col("v"))
       .as[Long]
-      .flatMap(root => esuFrom(root, lgB.value, k, cliquesOnly, accs))
+      .flatMap(root => esuFrom(root.toInt, csr.value, k, cliquesOnly, accs))
       .toDF("vs")
     (sets, accs)
   }
@@ -96,10 +96,10 @@ object DfsEnumerator {
   /** Motif counting (vertex-induced): isomorphism computation per set. */
   def motifCounts(spark: SparkSession, g: DataGraph, size: Int): (Map[String, Long], Profile) = {
     val (sets, accs) = inducedSets(spark, g, size)
-    val lgB = spark.sparkContext.broadcast(LocalGraph.fromDataGraph(g))
+    val csr = g.csr
     val keyUdf = udf { (vs: Seq[Long]) =>
       accs.isomorphism.add(1)
-      IsoCheck.patternKeyAndAssignment(IsoCheck.inducedPattern(vs, lgB.value, withLabels = false), vs)._1
+      IsoCheck.patternKeyAndAssignment(IsoCheck.inducedPattern(vs, csr.value), vs)._1
     }
     val grouped = sets.select(keyUdf(col("vs")) as "key").groupBy("key").count().collect()
     (grouped.map(r => r.getString(0) -> r.getLong(1)).toMap, accs.toProfile)
@@ -122,13 +122,14 @@ object DfsEnumerator {
     val k = p.regularVertices.size
     require(p.antiEdges.isEmpty, "baseline pattern matching handles plain patterns only")
     val (sets, accs) = inducedSets(spark, g, k)
-    val lgB = spark.sparkContext.broadcast(LocalGraph.fromDataGraph(g))
+    val csr = g.csr
+    val labels = g.labelArray
     val total = sets
       .select(col("vs"))
       .as[Seq[Long]]
       .map { vs =>
         accs.isomorphism.add(1)
-        IsoCheck.countSpanningEmbeddings(p, vs, lgB.value)
+        IsoCheck.countSpanningEmbeddings(p, vs, csr.value, labels.map(_.value).orNull)
       }
       .agg(sum("value"))
       .head() match {
@@ -150,9 +151,8 @@ object DfsEnumerator {
   ): (Seq[(Pattern, Long)], Profile) = {
     import spark.implicits._
     val accs = newAccs(spark)
-    val lg = LocalGraph.fromDataGraph(g)
-    val lgB = spark.sparkContext.broadcast(lg)
-    val idxB = spark.sparkContext.broadcast(LocalGraph.edgeIndex(lg))
+    val labels = g.labelArray
+    val idxB = spark.sparkContext.broadcast(EdgeIndex(g.csr.value))
 
     val keyed = spark
       .range(idxB.value.edges.length)
@@ -183,7 +183,7 @@ object DfsEnumerator {
         out.toSeq.map { eids =>
           accs.isomorphism.add(1)
           val es = eids.map(idx.edges)
-          val (pat, vs) = IsoCheck.edgePattern(es, lgB.value, withLabels = true)
+          val (pat, vs) = IsoCheck.edgePattern(es, labels.map(_.value).orNull)
           IsoCheck.patternKeyAndAssignment(pat, vs)
         }
       }
@@ -191,5 +191,23 @@ object DfsEnumerator {
 
     val supports = MniSupport.supportsByKey[String](keyed, PatternCodec.decode)
     (supports, accs.toProfile)
+  }
+
+  /** Indexed undirected edge list + incidence over the CSR's ids, for
+    * edge-growth ESU: edge ids follow sorted canonical (src < dst) order.
+    */
+  private final case class EdgeIndex(edges: Array[(Long, Long)], incident: Map[Long, Array[Int]]) {
+    def incidentEdges(v: Long): Array[Int] = incident.getOrElse(v, Array.empty[Int])
+  }
+
+  private object EdgeIndex {
+    def apply(csr: Csr): EdgeIndex = {
+      val edges = (for (u <- 0 until csr.numVertices; v <- csr.neighbors(u) if v > u) yield (u.toLong, v.toLong)).toArray
+      val incident = edges.zipWithIndex
+        .flatMap { case ((u, v), i) => Seq(u -> i, v -> i) }
+        .groupBy(_._1)
+        .map { case (v, arr) => v -> arr.map(_._2).sorted }
+      EdgeIndex(edges, incident)
+    }
   }
 }

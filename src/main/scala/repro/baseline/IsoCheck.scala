@@ -1,5 +1,6 @@
 package repro.baseline
 
+import repro.graph.Csr
 import repro.pattern.{CanonicalForm, Pattern, PatternCodec}
 
 /** The per-match computations that pattern-UNaware systems pay for and
@@ -11,9 +12,19 @@ import repro.pattern.{CanonicalForm, Pattern, PatternCodec}
   *    how many embeddings of a target pattern does it contain?
   *
   * All helpers here run per explored subgraph inside baseline tasks, which
-  * is exactly how the profiled systems of Fig 1 spend their time.
+  * is exactly how the profiled systems of Fig 1 spend their time. They read
+  * the graph's broadcast `Csr` (vertex ids are its dense ids) and its label
+  * array, where a vertex with no label reads as label -1.
   */
 object IsoCheck {
+
+  /** Label of `v` in `labels` (a `DataGraph.labelArray`, or null for an
+    * unlabeled graph); -1 where there is none.
+    */
+  private def label(labels: Array[Int], v: Long): Int =
+    if (labels == null || labels(v.toInt) == Csr.NoLabel) -1 else labels(v.toInt)
+
+  private def connected(csr: Csr, u: Long, v: Long): Boolean = csr.hasEdge(u.toInt, v.toInt)
 
   /** Greedy-minimal generation order of a connected vertex set: start at
     * the smallest vertex, repeatedly append the smallest vertex adjacent to
@@ -21,13 +32,13 @@ object IsoCheck {
     * order, so "sequence == greedy order" is a canonicality predicate for
     * BFS-style embedding growth (the Arabesque model).
     */
-  def canonicalSeq(vs: Seq[Long], lg: LocalGraph): Seq[Long] = {
+  def canonicalSeq(vs: Seq[Long], csr: Csr): Seq[Long] = {
     val set = vs.toSet
     val out = collection.mutable.ArrayBuffer(vs.min)
     val in = collection.mutable.Set(vs.min)
     while (out.size < vs.size) {
       val next = set.iterator
-        .filter(v => !in(v) && out.exists(u => lg.connected(u, v)))
+        .filter(v => !in(v) && out.exists(u => connected(csr, u, v)))
         .minOption
         .getOrElse(throw new IllegalArgumentException(s"vertex set not connected: $vs"))
       out += next
@@ -37,29 +48,26 @@ object IsoCheck {
   }
 
   /** Canonicality check for a generation sequence (counted by profiling). */
-  def isCanonicalSeq(vs: Seq[Long], lg: LocalGraph): Boolean =
-    vs == canonicalSeq(vs, lg)
+  def isCanonicalSeq(vs: Seq[Long], csr: Csr): Boolean =
+    vs == canonicalSeq(vs, csr)
 
-  /** The (labeled) pattern induced by a vertex set: position i+1 stands for
+  /** The unlabeled pattern induced by a vertex set: position i+1 stands for
     * vs(i).
     */
-  def inducedPattern(vs: Seq[Long], lg: LocalGraph, withLabels: Boolean): Pattern = {
+  def inducedPattern(vs: Seq[Long], csr: Csr): Pattern = {
     val k = vs.size
     val edges = for {
       i <- 0 until k; j <- (i + 1) until k
-      if lg.connected(vs(i), vs(j))
+      if connected(csr, vs(i), vs(j))
     } yield (i + 1, j + 1)
-    val base = Pattern(Vector.range(1, k + 1), edges.toSet, Set.empty, Map.empty)
-    if (withLabels) vs.zipWithIndex.foldLeft(base) { case (p, (v, i)) =>
-      p.addLabel(i + 1, lg.labels.getOrElse(v, -1))
-    }
-    else base
+    Pattern(Vector.range(1, k + 1), edges.toSet, Set.empty, Map.empty)
   }
 
-  /** Pattern formed by an explicit edge list over data vertices (edge-induced
-    * subgraph, used by FSM baselines): positions follow sorted vertex order.
+  /** Labeled pattern formed by an explicit edge list over data vertices
+    * (edge-induced subgraph, used by FSM baselines): positions follow sorted
+    * vertex order.
     */
-  def edgePattern(es: Seq[(Long, Long)], lg: LocalGraph, withLabels: Boolean): (Pattern, Seq[Long]) = {
+  def edgePattern(es: Seq[(Long, Long)], labels: Array[Int]): (Pattern, Seq[Long]) = {
     val vs = es.flatMap { case (u, v) => Seq(u, v) }.distinct.sorted
     val pos = vs.zipWithIndex.map { case (v, i) => v -> (i + 1) }.toMap
     val base = Pattern(
@@ -68,11 +76,7 @@ object IsoCheck {
       Set.empty,
       Map.empty
     )
-    val p =
-      if (withLabels) vs.zipWithIndex.foldLeft(base) { case (acc, (v, i)) =>
-        acc.addLabel(i + 1, lg.labels.getOrElse(v, -1))
-      }
-      else base
+    val p = vs.zipWithIndex.foldLeft(base) { case (acc, (v, i)) => acc.addLabel(i + 1, label(labels, v)) }
     (p, vs)
   }
 
@@ -92,13 +96,13 @@ object IsoCheck {
     * `vs` (extra data edges permitted — edge-induced semantics): brute force
     * over assignments, the pattern-matching iso check of Table 4 baselines.
     */
-  def countSpanningEmbeddings(target: Pattern, vs: Seq[Long], lg: LocalGraph): Long = {
+  def countSpanningEmbeddings(target: Pattern, vs: Seq[Long], csr: Csr, labels: Array[Int]): Long = {
     val reg = target.regularVertices
     if (reg.size != vs.size) return 0L
     vs.permutations.count { perm =>
       val m = reg.zip(perm).toMap
-      target.edges.forall { case (u, v) => lg.connected(m(u), m(v)) } &&
-      reg.forall(u => target.getLabel(u).forall(l => lg.labels.get(m(u)).contains(l)))
+      target.edges.forall { case (u, v) => connected(csr, m(u), m(v)) } &&
+      reg.forall(u => target.getLabel(u).forall(l => labels != null && labels(m(u).toInt) == l))
     }
   }
 }

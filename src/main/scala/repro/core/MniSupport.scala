@@ -1,17 +1,21 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.roaringbitmap.RoaringBitmap
 import scala.reflect.runtime.universe.TypeTag
-import repro.pattern.{Automorphism, CanonicalForm, Pattern}
+import repro.graph.DataGraph
+import repro.pattern.{Automorphism, Pattern}
+import repro.plan.Planner
 
 /** Minimum node image (MNI) support computation (§2.1, §3.2.1, §5.5).
   *
   * Peregrine maintains per-pattern ''domains'' — for each pattern vertex,
   * the set of data vertices matched to it — and defines support as the
-  * minimum domain size. Peregrine implements domains as Roaring bitmaps
-  * merged by the aggregator thread; the dataflow analogue is a
-  * `countDistinct` aggregation.
+  * minimum domain size. As in Peregrine, domains are Roaring bitmaps filled
+  * during matching: `PlanExecutor.domains` collects them per task and the
+  * driver merges them; everything here runs on the driver over those
+  * bitmaps.
   *
   * Subtlety (paper §6.6): with symmetry breaking, each unique subgraph is
   * matched once, in its canonical orientation only, while MNI is defined
@@ -22,61 +26,45 @@ import repro.pattern.{Automorphism, CanonicalForm, Pattern}
   */
 object MniSupport {
 
-  import MatchEngine.{lcol, mcol}
-
-  /** MNI support of fully-labeled (or unlabeled) pattern `p` given its
-    * canonical match DataFrame (columns `m_<v>`).
-    */
-  def support(p: Pattern, matches: DataFrame): Long = {
-    val keyed = matches.select(lit(0) as "key", array(p.regularVertices.map(v => col(mcol(v))): _*) as "vs")
-    supportsByKey[Int](keyed, _ => p).headOption.map(_._2).getOrElse(0L)
+  /** MNI support of `p` in `g`; `p` is fully labeled, or `g` unlabeled. */
+  def support(g: DataGraph, p: Pattern): Long = {
+    require(p.fullyLabeled || g.labels.isEmpty, "support of a pattern with wildcards needs an unlabeled graph")
+    // Every match carries the same label sequence: at most one entry.
+    PlanExecutor.domains(g, Planner.plan(p)).values.headOption.map(smallestDomain(p, _)).getOrElse(0L)
   }
 
-  /** Dynamic label discovery (§3.2.1): given matches of a partially-labeled
-    * pattern `p` with discovered-label columns `l_<v>`, group matches by the
-    * canonicalized fully-labeled pattern they instantiate and compute each
-    * labeled pattern's MNI support.
+  /** Dynamic label discovery (§3.2.1): group the matches of the
+    * partially-labeled pattern `p` by the fully-labeled pattern they
+    * instantiate and compute each labeled pattern's MNI support.
     *
-    * Returns (fully-labeled pattern, support) pairs. Canonicalization uses
-    * the automorphisms of `p` (wildcards permute only among wildcards), so
-    * e.g. the A–B and B–A labelings of a symmetric edge collapse into one
-    * labeled pattern; domains are then orbit-merged under the labeled
+    * Returns (fully-labeled pattern, support) pairs; each pattern is `p`
+    * with its wildcards labeled. A match's label sequence is canonicalized
+    * as the lex-least relabelling under the automorphisms of `p` (wildcards
+    * permute only among wildcards), so e.g. the A–B and B–A labelings of a
+    * symmetric edge collapse into one labeled pattern, and its domains are
+    * permuted to match; domains are then orbit-merged under the labeled
     * pattern's own automorphisms, as in `support`.
     */
-  def labeledSupports(spark: SparkSession, p: Pattern, matches: DataFrame): Seq[(Pattern, Long)] = {
+  def labeledSupports(g: DataGraph, p: Pattern, symmetry: Boolean = true): Seq[(Pattern, Long)] = {
+    require(g.labels.isDefined, "label discovery requires a labeled graph")
     val reg = p.regularVertices
-    val k = reg.size
     // Position permutations: for automorphism σ, perm(j) = index of σ(reg(j)).
     val idx = reg.zipWithIndex.toMap
-    val perms: Array[Array[Int]] =
-      Automorphism.all(p).map(sigma => reg.map(x => idx(sigma(x))).toArray).toArray
-
-    val labExprs = reg.map(v => p.getLabel(v).map(l => lit(l)).getOrElse(col(lcol(v))).cast("int"))
-    val vExprs = reg.map(v => col(mcol(v)))
-
-    val canonUdf = udf { (ls: Seq[Int], vs: Seq[Long]) =>
-      var bestLs: Seq[Int] = null
-      var bestVs: Seq[Long] = null
-      for (perm <- perms) {
-        val cls = (0 until k).map(j => ls(perm(j)))
-        if (bestLs == null || lexLt(cls, bestLs)) {
-          bestLs = cls
-          bestVs = (0 until k).map(j => vs(perm(j)))
-        }
+    val perms = Automorphism.all(p).map(sigma => reg.map(x => idx(sigma(x))))
+    val canonical = collection.mutable.Map.empty[Seq[Int], Array[RoaringBitmap]]
+    for ((ls, doms) <- PlanExecutor.domains(g, Planner.plan(p), symmetry)) {
+      val perm = perms.minBy(_.map(ls))(Ordering.Implicits.seqOrdering)
+      val key = perm.map(ls)
+      val permuted = perm.map(doms).toArray
+      canonical.get(key) match {
+        case Some(acc) => acc.indices.foreach(j => acc(j).or(permuted(j)))
+        case None      => canonical(key) = permuted
       }
-      (bestLs, bestVs)
     }
-
-    val keyed = matches
-      .select(array(labExprs: _*) as "ls", array(vExprs: _*) as "vs")
-      .select(canonUdf(col("ls"), col("vs")) as "c")
-      .select(col("c._1") as "key", col("c._2") as "vs")
-
-    // The key is the canonical label sequence over `reg`.
-    def labeled(key: collection.Seq[Int]): Pattern =
-      reg.zipWithIndex.foldLeft(p) { case (acc, (v, j)) => acc.addLabel(v, key(j)) }
-    supportsByKey[collection.Seq[Int]](keyed, labeled)
-      .map { case (pat, s) => (CanonicalForm.canonicalize(pat)._1, s) }
+    canonical.toSeq.map { case (key, doms) =>
+      val labeled = reg.zipWithIndex.foldLeft(p) { case (acc, (v, j)) => acc.addLabel(v, key(j)) }
+      (labeled, smallestDomain(labeled, doms))
+    }
   }
 
   /** MNI support of every pattern in `keyed`, which holds one row per match:
@@ -85,18 +73,17 @@ object MniSupport {
     * key. Each position's domain is merged across its automorphism orbit
     * under the decoded pattern's own automorphisms; support is the smallest
     * merged domain. Returns (decoded pattern, support) per distinct key.
+    * The pattern-unaware baselines, which list their matches, aggregate
+    * with this.
     */
   def supportsByKey[K: TypeTag](keyed: DataFrame, pattern: K => Pattern): Seq[(Pattern, Long)] = {
     val cached = keyed.cache()
     try {
       val keys = cached.select("key").distinct().collect().toSeq.map(_.getAs[K](0))
       if (keys.isEmpty) return Seq.empty
-      // Per pattern: orbit id of each position under its own Aut.
       val keyInfo: Map[K, (Pattern, Seq[Int])] = keys.map { key =>
         val pat = pattern(key)
-        val reg = pat.regularVertices
-        val orbits = Automorphism.orbitsOf(reg, Automorphism.all(pat))
-        key -> (pat, reg.map(v => orbits.indexWhere(_.contains(v))))
+        key -> (pat, orbitIds(pat))
       }.toMap
       val orbitMaps = keyInfo.map { case (key, (_, orbitOf)) => (key, orbitOf) }
       val orbitUdf = udf((key: K, pos: Int) => orbitMaps(key)(pos))
@@ -113,13 +100,20 @@ object MniSupport {
     } finally cached.unpersist()
   }
 
-  private def lexLt(a: Seq[Int], b: Seq[Int]): Boolean = {
-    var i = 0
-    while (i < a.size && i < b.size) {
-      if (a(i) < b(i)) return true
-      if (a(i) > b(i)) return false
-      i += 1
-    }
-    a.size < b.size
+  /** Orbit id of each of `p`'s regular vertices, in `regularVertices` order,
+    * under Aut(p).
+    */
+  private def orbitIds(p: Pattern): Seq[Int] = {
+    val reg = p.regularVertices
+    val orbits = Automorphism.orbitsOf(reg, Automorphism.all(p))
+    reg.map(v => orbits.indexWhere(_.contains(v)))
+  }
+
+  /** Support from the domains of `p`'s regular vertices (in
+    * `regularVertices` order): the smallest union of an orbit's domains.
+    */
+  private def smallestDomain(p: Pattern, doms: Array[RoaringBitmap]): Long = {
+    val orbit = orbitIds(p)
+    orbit.distinct.map(o => RoaringBitmap.or(orbit.indices.filter(orbit(_) == o).map(doms): _*).getLongCardinality).min
   }
 }

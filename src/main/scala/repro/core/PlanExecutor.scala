@@ -1,17 +1,20 @@
 package repro.core
 
 import org.apache.spark.{TaskContext, TaskKilledException}
+import org.roaringbitmap.RoaringBitmap
+import scala.reflect.ClassTag
 import repro.graph.{Csr, DataGraph}
 import repro.plan.ExplorationPlan
 
-/** Peregrine's matching engine (§5.1–5.3) over the broadcast degree-ordered
-  * CSR of a `DataGraph`: it counts the matches of an exploration plan without
-  * materializing any of them.
+/** Peregrine's matching engine (§5.1–5.3, §5.5) over the broadcast
+  * degree-ordered CSR of a `DataGraph`: it counts the matches of an
+  * exploration plan, or aggregates their MNI domains, without materializing
+  * any of them.
   *
   * One `mapPartitions` job runs T = 4 × `defaultParallelism` tasks. Task j
   * takes the roots j, j + T, … places from the top of the id order, high to
   * low (§5.2: ids are degree ranks), and from each root binds the vertices
-  * of `plan.joinOrder` by backtracking, counting inside the task:
+  * of `plan.joinOrder` by backtracking:
   *
   *  - a vertex's candidates are the adjacency list of its bound pattern
   *    neighbour of smallest data degree, cut by binary search to the id
@@ -21,8 +24,11 @@ import repro.plan.ExplorationPlan
   *    unconnected pairs by ≠; labels are checked per candidate;
   *  - once every regular vertex is bound, each anti-vertex (§4.3) needs the
   *    common neighbourhood of its anti-neighbours' images, minus the images
-  *    of those vertices' pattern neighbours, to be empty (as
-  *    `MatchEngine`'s anti-vertex join has it).
+  *    of those vertices' pattern neighbours, to be empty.
+  *
+  * `run` and `domains` share this search and differ only in what a task
+  * does with a full match: `run` counts it, `domains` also files its ids
+  * into per-task Roaring bitmaps that the driver merges (§5.5).
   *
   * With `symmetry = false` the order bounds are dropped and every
   * automorphic image is found (PRG-U). `limit` stops each task once it has
@@ -38,22 +44,47 @@ object PlanExecutor {
   final case class Result(count: Long, accepted: Vector[Long])
 
   def run(g: DataGraph, plan: ExplorationPlan, symmetry: Boolean = true, limit: Long = Long.MaxValue): Result = {
-    val prog = Program(plan, symmetry)
+    val perTask = tasks(g, Program(plan, symmetry), limit, collect = false)(s => s.count +: s.accepted)
+    Result(perTask.map(_.head).sum, plan.joinOrder.indices.map(i => perTask.map(_(i + 1)).sum).toVector)
+  }
+
+  /** MNI domains of the matches of `plan`, by label sequence: for each
+    * sequence of labels the matches carry over `plan.pattern.regularVertices`
+    * (a labeled vertex's from the pattern, a wildcard's from the graph), one
+    * bitmap per regular vertex of the data vertices matched to it. On a
+    * labeled graph a match with an unlabeled data vertex at a wildcard is
+    * skipped; on an unlabeled graph wildcards keep `Csr.NoLabel`.
+    */
+  def domains(g: DataGraph, plan: ExplorationPlan, symmetry: Boolean = true): Map[Seq[Int], Array[RoaringBitmap]] = {
+    val perTask = tasks(g, Program(plan, symmetry), Long.MaxValue, collect = true)(_.domains.entries)
+    val merged = collection.mutable.Map.empty[Seq[Int], Array[RoaringBitmap]]
+    for ((ls, doms) <- perTask.flatten) merged.get(ls.toSeq) match {
+      case Some(acc) => acc.indices.foreach(j => acc(j).or(doms(j)))
+      case None      => merged(ls.toSeq) = doms
+    }
+    merged.toMap
+  }
+
+  /** Runs the search in every task and returns `out` of each task's search;
+    * with `collect`, searches file their matches' domains, reading every
+    * vertex's label when the graph has labels.
+    */
+  private def tasks[T: ClassTag](g: DataGraph, prog: Program, limit: Long, collect: Boolean)(
+      out: Search => T
+  ): Array[T] = {
     val labeled = prog.label.exists(_ != Csr.NoLabel)
     require(!labeled || g.labels.isDefined, "labeled pattern requires a labeled graph")
     val csr = g.csr
-    val labels = if (labeled) g.labelArray else None
+    val labels = if (labeled || collect) g.labelArray else None
     val sc = g.edges.sparkSession.sparkContext
-    val tasks = 4 * sc.defaultParallelism
-    val perTask = sc
-      .parallelize(0 until tasks, tasks)
+    val n = 4 * sc.defaultParallelism
+    sc.parallelize(0 until n, n)
       .mapPartitions { js =>
-        val search = new Search(prog, csr.value, labels.map(_.value).orNull, limit)
-        js.foreach(j => search.roots(j, tasks))
-        Iterator(search.count +: search.accepted)
+        val search = new Search(prog, csr.value, labels.map(_.value).orNull, limit, collect)
+        js.foreach(j => search.roots(j, n))
+        Iterator(out(search))
       }
       .collect()
-    Result(perTask.map(_.head).sum, prog.nbrs.indices.map(i => perTask.map(_(i + 1)).sum).toVector)
   }
 
   /** The plan as arrays over join-order positions; each constraint sits at
@@ -67,7 +98,8 @@ object PlanExecutor {
       below: Array[Array[Int]],     // earlier positions whose image must be larger
       distinct: Array[Array[Int]],  // earlier positions whose image must only differ
       avNbrs: Array[Array[Int]],    // per anti-vertex: its anti-neighbours' positions
-      avExcused: Array[Array[Int]]  // per anti-vertex: positions whose images are excused
+      avExcused: Array[Array[Int]], // per anti-vertex: positions whose images are excused
+      regular: Array[Int]           // position of each of `regularVertices`
   )
 
   private object Program {
@@ -91,21 +123,23 @@ object PlanExecutor {
         avNbrs = p.antiVertices.map(av => p.antiNeighbors(av).toArray.sorted.map(pos)).toArray,
         avExcused = p.antiVertices.map { av =>
           p.antiNeighbors(av).flatMap(p.getNeighbors).toArray.sorted.map(pos)
-        }.toArray
+        }.toArray,
+        regular = p.regularVertices.map(pos).toArray
       )
     }
   }
 
-  /** One task's backtracking search; `labels` is null when no position is
-    * labeled.
+  /** One task's backtracking search; `labels` is null when it reads none.
+    * With `collect` it files every match into `domains`.
     */
-  private final class Search(prog: Program, csr: Csr, labels: Array[Int], limit: Long) {
+  private final class Search(prog: Program, csr: Csr, labels: Array[Int], limit: Long, collect: Boolean) {
     private val k = prog.nbrs.length
     private val m = new Array[Int](k)
     private val ctx = TaskContext.get()
     private var work = 0
     val accepted = new Array[Long](k)
     var count = 0L
+    val domains: Domains = if (collect) new Domains(prog, labels) else null
 
     /** Roots j, j + tasks, … places below the highest id. */
     def roots(j: Int, tasks: Int): Unit = {
@@ -121,7 +155,10 @@ object PlanExecutor {
       m(i) = c
       accepted(i) += 1
       if (i + 1 < k) extend(i + 1)
-      else if (antiVerticesHold) count += 1
+      else if (antiVerticesHold) {
+        count += 1
+        if (domains != null) domains.add(m)
+      }
     }
 
     private def extend(i: Int): Unit = {
@@ -222,6 +259,51 @@ object PlanExecutor {
     private def tick(): Unit = {
       work += 1
       if ((work & 4095) == 0 && ctx.isInterrupted()) throw new TaskKilledException("cancelled")
+    }
+  }
+
+  /** One task's MNI domains: per label sequence over the regular vertices,
+    * one bitmap of matched ids per regular vertex.
+    */
+  private final class Domains(prog: Program, labels: Array[Int]) {
+    private val byLabels = new java.util.HashMap[LabelSeq, Array[RoaringBitmap]]
+    private val probe = new LabelSeq(new Array[Int](prog.regular.length))
+
+    /** Files match `m` (images by join-order position). */
+    def add(m: Array[Int]): Unit = {
+      val ls = probe.ls
+      var j = 0
+      while (j < ls.length) {
+        val i = prog.regular(j)
+        ls(j) = prog.label(i)
+        if (ls(j) == Csr.NoLabel && labels != null) {
+          ls(j) = labels(m(i))
+          if (ls(j) == Csr.NoLabel) return
+        }
+        j += 1
+      }
+      var doms = byLabels.get(probe)
+      if (doms == null) {
+        doms = Array.fill(ls.length)(new RoaringBitmap)
+        byLabels.put(new LabelSeq(ls.clone), doms)
+      }
+      j = 0
+      while (j < ls.length) { doms(j).add(m(prog.regular(j))); j += 1 }
+    }
+
+    def entries: Array[(Array[Int], Array[RoaringBitmap])] = {
+      val out = Array.newBuilder[(Array[Int], Array[RoaringBitmap])]
+      byLabels.forEach((key, doms) => out += ((key.ls, doms)))
+      out.result()
+    }
+  }
+
+  /** A label sequence as a hash key, so a task can look one up by a reused array. */
+  private final class LabelSeq(val ls: Array[Int]) {
+    override def hashCode: Int = java.util.Arrays.hashCode(ls)
+    override def equals(o: Any): Boolean = o match {
+      case that: LabelSeq => java.util.Arrays.equals(ls, that.ls)
+      case _              => false
     }
   }
 }

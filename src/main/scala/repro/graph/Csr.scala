@@ -11,6 +11,9 @@ final class Csr(val offsets: Array[Int], val nbrs: Array[Int]) extends Serializa
 
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
+  /** A copy of `v`'s sorted adjacency list. */
+  def neighbors(v: Int): Array[Int] = java.util.Arrays.copyOfRange(nbrs, offsets(v), offsets(v + 1))
+
   /** Whether `u` and `v` are adjacent: a binary search in the shorter list. */
   def hasEdge(u: Int, v: Int): Boolean =
     if (degree(u) <= degree(v)) java.util.Arrays.binarySearch(nbrs, offsets(u), offsets(u + 1), v) >= 0

@@ -19,10 +19,11 @@ import org.apache.spark.sql.functions._
   * @param labels   optional (v, lab) after the same relabeling
   * @param mapping  (orig, v): original id → degree-ranked id (for debugging)
   *
-  * The plan executor reads the graph as a broadcast `Csr` (and, for labeled
-  * patterns, a broadcast label array). Both are built on first use, the way
-  * the cached relations fill on their first scan, so a graph that is only
-  * queried through joins never pays for them.
+  * The plan executor and the pattern-unaware baselines read the graph as a
+  * broadcast `Csr` (and, where they read labels, a broadcast label array).
+  * Both are built on first use, the way the cached relations fill on their
+  * first scan, so a graph that is only queried through joins never pays for
+  * them.
   */
 final case class DataGraph(
     edges: DataFrame,

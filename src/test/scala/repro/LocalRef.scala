@@ -65,8 +65,10 @@ object LocalRef {
     * multiplicity comes from the (independently brute-force-tested)
     * Automorphism module.
     */
-  def canonicalCount(p: Pattern, g: Graph): Long = {
-    val isos = allIsomorphisms(p, g)
+  def canonicalCount(p: Pattern, g: Graph): Long = canonicalCount(p, allIsomorphisms(p, g))
+
+  /** `canonicalCount` from the already enumerated `allIsomorphisms` of `p`. */
+  def canonicalCount(p: Pattern, isos: Seq[Map[Int, Long]]): Long = {
     if (isos.isEmpty) return 0L
     val mult = repro.pattern.Automorphism.regularMultiplicity(p)
     require(isos.size % mult == 0, s"iso count ${isos.size} not divisible by $mult")

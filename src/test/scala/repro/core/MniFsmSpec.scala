@@ -25,31 +25,40 @@ class MniFsmSpec extends SparkSpec {
     CanonicalForm.distinct(assign(shape, reg.toList))
   }
 
+  /** Supports keyed by canonical form. */
+  private def keyed(ps: Seq[(Pattern, Long)]): Map[String, Long] =
+    ps.map { case (p, s) => (CanonicalForm.key(p), s) }.toMap
+
+  /** Brute-force supports of the labeled variants of `shape` in `r` that
+    * reach `tau`, keyed by canonical form.
+    */
+  private def bruteForce(shape: Pattern, r: LocalRef.Graph, tau: Long): Map[String, Long] =
+    labeledVariants(shape)
+      .map(p => (CanonicalForm.key(p), LocalRef.mniSupport(p, r)))
+      .filter(_._2 >= tau)
+      .toMap
+
   test("support of fully labeled edges matches brute-force MNI") {
     for (p <- labeledVariants(Patterns.generateChain(2))) {
-      val m = MatchEngine.matches(g, p)
-      assert(MniSupport.support(p, m) == LocalRef.mniSupport(p, ref), s"pattern $p")
+      assert(MniSupport.support(g, p) == LocalRef.mniSupport(p, ref), s"pattern $p")
     }
   }
 
   test("support of labeled wedges matches brute-force MNI") {
     for (p <- labeledVariants(Patterns.generateChain(3)).take(10)) {
-      val m = MatchEngine.matches(g, p)
-      assert(MniSupport.support(p, m) == LocalRef.mniSupport(p, ref), s"pattern $p")
+      assert(MniSupport.support(g, p) == LocalRef.mniSupport(p, ref), s"pattern $p")
     }
   }
 
   test("support of the unlabeled triangle uses orbit-merged domains") {
     val p = Patterns.generateClique(3)
     val unlabeled = TestGraphs.dataGraph(spark, edges)
-    val m = MatchEngine.matches(unlabeled, p)
-    assert(MniSupport.support(p, m) == LocalRef.mniSupport(p, LocalRef.graph(edges)))
+    assert(MniSupport.support(unlabeled, p) == LocalRef.mniSupport(p, LocalRef.graph(edges)))
   }
 
   test("labeledSupports discovers exactly the labeled patterns present") {
     val shape = Patterns.generateChain(2)
-    val m = MatchEngine.matches(g, shape, discoverLabels = true)
-    val discovered = MniSupport.labeledSupports(spark, shape, m)
+    val discovered = MniSupport.labeledSupports(g, shape)
     val expected = labeledVariants(shape)
       .map(p => (CanonicalForm.key(p), LocalRef.mniSupport(p, ref)))
       .filter(_._2 > 0)
@@ -60,8 +69,7 @@ class MniFsmSpec extends SparkSpec {
 
   test("labeledSupports on wedges matches brute force") {
     val shape = Patterns.generateChain(3)
-    val m = MatchEngine.matches(g, shape, discoverLabels = true)
-    val got = MniSupport.labeledSupports(spark, shape, m)
+    val got = MniSupport.labeledSupports(g, shape)
       .map { case (p, s) => (CanonicalForm.key(p), s) }.toMap
     val expected = labeledVariants(shape)
       .map(p => (CanonicalForm.key(p), LocalRef.mniSupport(p, ref)))
@@ -72,13 +80,50 @@ class MniFsmSpec extends SparkSpec {
 
   test("labeledSupports respects pre-assigned labels") {
     val shape = Patterns.generateChain(3).addLabel(2, 1) // center fixed to label 1
-    val m = MatchEngine.matches(g, shape, discoverLabels = true)
-    val got = MniSupport.labeledSupports(spark, shape, m)
+    val got = MniSupport.labeledSupports(g, shape)
     assert(got.nonEmpty)
     for ((p, s) <- got) {
       assert(p.fullyLabeled)
       assert(s == LocalRef.mniSupport(p, ref), s"pattern $p")
     }
+  }
+
+  test("MNI on a labeled graph in which some vertices have no label") {
+    val partial = labels.filter { case (v, _) => v % 3 != 0 }
+    val pg = TestGraphs.dataGraph(spark, edges, partial)
+    val pref = LocalRef.graph(edges, partial)
+    for (shape <- Seq(Patterns.generateChain(2), Patterns.generateChain(3)))
+      assert(keyed(MniSupport.labeledSupports(pg, shape)) == bruteForce(shape, pref, 1), s"shape $shape")
+    for (p <- labeledVariants(Patterns.generateChain(2)))
+      assert(MniSupport.support(pg, p) == LocalRef.mniSupport(p, pref), s"pattern $p")
+    val fsm = Fsm.run(spark, pg, maxEdges = 2, threshold = 3)
+    assert(keyed(fsm.atSize(2)) == bruteForce(Patterns.generateChain(3), pref, 3))
+  }
+
+  test("FSM keeps a pattern whose support is exactly the threshold and drops it above") {
+    val all = bruteForce(Patterns.generateChain(2), ref, 1)
+    val s = all.values.max
+    val kept = keyed(Fsm.run(spark, g, maxEdges = 1, threshold = s).atSize(1))
+    assert(kept.nonEmpty && kept == all.filter(_._2 >= s))
+    assert(Fsm.run(spark, g, maxEdges = 1, threshold = s + 1).atSize(1).isEmpty)
+  }
+
+  test("MNI on a labeled graph with no edges is empty") {
+    val empty = TestGraphs.dataGraph(spark, Seq.empty, labels)
+    val eref = LocalRef.graph(Seq.empty, labels)
+    val shape = Patterns.generateChain(2)
+    assert(MniSupport.labeledSupports(empty, shape).isEmpty)
+    assert(bruteForce(shape, eref, 1).isEmpty)
+    for (p <- labeledVariants(shape))
+      assert(MniSupport.support(empty, p) == 0 && LocalRef.mniSupport(p, eref) == 0, s"pattern $p")
+    assert(Fsm.run(spark, empty, maxEdges = 2, threshold = 1).totalPatterns == 0)
+  }
+
+  test("labeledSupports on wedges is the same without symmetry breaking") {
+    val shape = Patterns.generateChain(3)
+    val expected = bruteForce(shape, ref, 1)
+    assert(keyed(MniSupport.labeledSupports(g, shape, symmetry = true)) == expected)
+    assert(keyed(MniSupport.labeledSupports(g, shape, symmetry = false)) == expected)
   }
 
   test("FSM frequent 1-edge patterns match brute force at several thresholds") {

@@ -6,25 +6,10 @@ import repro.graph.DataGraph
 import repro.pattern.{Pattern, Patterns}
 import repro.plan.Planner
 
-/** The CSR plan executor against the join engine and the brute-force
-  * reference, with symmetry breaking on and off, plus boundary graphs.
+/** The CSR plan executor against the brute-force reference, with symmetry
+  * breaking on and off, plus boundary graphs.
   */
 class PlanExecutorSpec extends SparkSpec {
-
-  // The join engine is only the reference here, and it runs ~250 multi-join
-  // queries over tiny graphs: broadcast joins and 4 shuffle partitions
-  // (instead of the suite's shuffle joins over 64) keep that to minutes.
-  private val settings = Map("spark.sql.shuffle.partitions" -> "4", "spark.sql.autoBroadcastJoinThreshold" -> "10485760")
-  private var saved = Map.empty[String, String]
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    saved = settings.map { case (k, _) => k -> spark.conf.get(k) }
-    settings.foreach { case (k, v) => spark.conf.set(k, v) }
-  }
-  override def afterAll(): Unit = {
-    saved.foreach { case (k, v) => spark.conf.set(k, v) }
-    super.afterAll()
-  }
 
   private lazy val erEdges = TestGraphs.er(30, 80, seed = 71)
   private lazy val skEdges = TestGraphs.skewed(40, 110, seed = 72)
@@ -47,15 +32,17 @@ class PlanExecutorSpec extends SparkSpec {
     EvalPatterns.p7.addLabel(1, 1)
   )
 
-  /** Executor, join engine and `LocalRef` agree on `p`, with and without symmetry breaking. */
+  /** Executor and `LocalRef` agree on `p`: without symmetry breaking the
+    * executor finds every isomorphism, with it one match per subgraph.
+    */
   private def agree(g: DataGraph, ref: LocalRef.Graph, p: Pattern): Unit = {
     val plan = Planner.plan(p)
-    val expected = LocalRef.canonicalCount(p, ref)
-    for (symmetry <- Seq(true, false)) {
-      val raw = PlanExecutor.run(g, plan, symmetry).count
-      assert(raw == MatchEngine.matchesWithPlan(g, plan, symmetry).count(), s"$p symmetry=$symmetry")
+    val isos = LocalRef.allIsomorphisms(p, ref)
+    val expected = LocalRef.canonicalCount(p, isos)
+    assert(PlanExecutor.run(g, plan, symmetry = false).count == isos.size, s"$p symmetry=false")
+    assert(PlanExecutor.run(g, plan, symmetry = true).count == expected, s"$p symmetry=true")
+    for (symmetry <- Seq(true, false))
       assert(MatchEngine.countMatches(g, p, symmetry) == expected, s"$p symmetry=$symmetry")
-    }
   }
 
   test("executor agrees with the join engine and LocalRef on er") {
