@@ -32,7 +32,7 @@ object Fsm {
       threshold: Long,
       symmetry: Boolean = true
   ): Result = {
-    require(g.labels.isDefined, "FSM requires a labeled graph")
+    require(g.labeled, "FSM requires a labeled graph")
     var frontier: Seq[Pattern] = Seq(Patterns.generateChain(2)) // one unlabeled edge
     val out = collection.mutable.Map.empty[Int, Seq[(Pattern, Long)]]
     for (e <- 1 to maxEdges) {

@@ -3,7 +3,7 @@ package repro.bench
 import org.apache.spark.sql.SparkSession
 
 /** Command-line entry point: prints one paper table, the same one its bench
-  * suite prints.
+  * suite prints, or (`builds`) the build times of every lite graph.
   *
   * {{{
   *   sbt "runMain repro.bench.Main table3"
@@ -17,6 +17,7 @@ import org.apache.spark.sql.SparkSession
 object Main {
 
   private val tables: Map[String, (SparkSession, LiteData) => (String, Seq[Tables.Row])] = Map(
+    "builds" -> ((_, d) => Tables.builds(d, d.names)),
     "table2" -> Tables.table2,
     "table3" -> (Tables.table3(_, _)),
     "table4" -> (Tables.table4(_, _)),

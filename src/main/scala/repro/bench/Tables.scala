@@ -46,9 +46,34 @@ object Tables {
   def renderTable(title: String, systems: Seq[String], rows: Seq[Row]): String =
     Harness.render(title, header(systems), fmtRows(header(systems), rows))
 
+  // -------------------------------------------------------------- builds
+
+  /** The build, CSR-broadcast and label-broadcast seconds of the lite graphs
+    * `names`, building those not built yet.
+    */
+  def builds(d: LiteData, names: Seq[String]): (String, Seq[Row]) = {
+    val rows = names.map(d.build).map { b =>
+      ("build", b.name, Seq(
+        "build" -> Cell(s"|V|=${b.graph.numVertices} |E|=${b.graph.numEdges}", Some(b.buildS)),
+        "CSR" -> Cell("", Some(b.csrS)),
+        "labels" -> Cell("-", b.labelsS)
+      ))
+    }
+    (renderTable("Graph builds", Seq("build", "CSR", "labels"), rows), rows)
+  }
+
+  /** `table` after building the lite graphs `names`, so that no cell is
+    * charged a build; the builds are printed above it as rows of their own.
+    */
+  private def afterBuilds(d: LiteData, names: String*)(table: => (String, Seq[Row])): (String, Seq[Row]) = {
+    val built = builds(d, names)._1
+    val (rendered, rows) = table
+    (built + rendered, rows)
+  }
+
   // -------------------------------------------------------------- Table 2
 
-  def table2(spark: SparkSession, d: LiteData): (String, Seq[Row]) = {
+  def table2(spark: SparkSession, d: LiteData): (String, Seq[Row]) = afterBuilds(d, "MI", "PA", "PA-L", "OK", "FR") {
     val datasets = Seq(
       ("MI (labeled)", d.mi),
       ("PA unlabeled", d.pa),
@@ -83,7 +108,7 @@ object Tables {
   /** PRG vs breadth-first systems (Arabesque / RStream proxies). */
   def table3(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget,
              fsmTauMi: Seq[Long] = Seq(60, 80, 100), fsmTauPa: Seq[Long] = Seq(400, 500, 600)
-  ): (String, Seq[Row]) = {
+  ): (String, Seq[Row]) = afterBuilds(d, "MI", "PA", "PA-L", "OK", "FR") {
     val systems = Seq("PRG", "ABQ", "RS")
     def cell(label: String)(f: => String): Cell = Harness.budgeted(spark, label, budget)(f)
 
@@ -154,7 +179,7 @@ object Tables {
 
   /** PRG vs depth-first (Fractal proxy). */
   def table4(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget,
-             fsmTauMi: Seq[Long] = Seq(60, 80, 100)): (String, Seq[Row]) = {
+             fsmTauMi: Seq[Long] = Seq(60, 80, 100)): (String, Seq[Row]) = afterBuilds(d, "MI", "PA", "PA-L") {
     val systems = Seq("PRG", "FCL")
     def cell(label: String)(f: => String): Cell = Harness.budgeted(spark, label, budget)(f)
 
@@ -234,7 +259,8 @@ object Tables {
   // -------------------------------------------------------------- Table 5
 
   /** PRG vs task-oriented purpose-built (G-Miner proxy). */
-  def table5(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget): (String, Seq[Row]) = {
+  def table5(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget): (String, Seq[Row]) =
+    afterBuilds(d, "MI", "PA", "PA-L", "OK", "FR", "OK-L6", "FR-L6") {
     val systems = Seq("PRG", "GM")
     def cell(label: String)(f: => String): Cell = Harness.budgeted(spark, label, budget)(f)
 
@@ -260,7 +286,8 @@ object Tables {
   // -------------------------------------------------------------- Table 6
 
   /** Constraint mining: anti-vertex p7, anti-edge p8, clique existence. */
-  def table6(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget): (String, Seq[Row]) = {
+  def table6(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget): (String, Seq[Row]) =
+    afterBuilds(d, "MI", "PA", "OK", "FR", "OK+K6") {
     val systems = Seq("PRG")
     def cell(label: String)(f: => String): Cell = Harness.budgeted(spark, label, budget)(f)
     val graphs = Seq(("MI", d.mi), ("PA", d.pa), ("OK", d.ok), ("FR", d.fr))
@@ -291,7 +318,7 @@ object Tables {
 
   /** Symmetry breaking on/off (PRG vs PRG-U), backing Table 1's PRG-U column. */
   def fig10(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget,
-            fsmTau: Long = 60): (String, Seq[Row]) = {
+            fsmTau: Long = 60): (String, Seq[Row]) = afterBuilds(d, "MI", "PA") {
     val systems = Seq("PRG", "PRG-U")
     def cell(label: String)(f: => String): Cell = Harness.budgeted(spark, label, budget)(f)
 
@@ -320,7 +347,7 @@ object Tables {
   /** Fig 1b/1c-style profiles: matches explored / canonicality / isomorphism
     * computations vs result size, on the PA-lite graph.
     */
-  def fig1(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget): (String, Seq[Row]) = {
+  def fig1(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget): (String, Seq[Row]) = afterBuilds(d, "PA") {
     def cell(label: String)(f: => String): Cell = Harness.budgeted(spark, label, budget)(f)
     def fmt(explored: Long, canon: Long, iso: Long, result: Long): String =
       s"explored=$explored (${if (result == 0) "-" else f"${explored.toDouble / result}%.1fx"}) canon=$canon iso=$iso"

@@ -46,7 +46,7 @@ object MniSupport {
     * pattern's own automorphisms, as in `support`.
     */
   def labeledSupports(g: DataGraph, p: Pattern, symmetry: Boolean = true): Seq[(Pattern, Long)] = {
-    require(g.labels.isDefined, "label discovery requires a labeled graph")
+    require(g.labeled, "label discovery requires a labeled graph")
     val reg = p.regularVertices
     // Position permutations: for automorphism σ, perm(j) = index of σ(reg(j)).
     val idx = reg.zipWithIndex.toMap

@@ -73,10 +73,10 @@ object PlanExecutor {
       out: Search => T
   ): Array[T] = {
     val labeled = prog.label.exists(_ != Csr.NoLabel)
-    require(!labeled || g.labels.isDefined, "labeled pattern requires a labeled graph")
+    require(!labeled || g.labeled, "labeled pattern requires a labeled graph")
     val csr = g.csr
     val labels = if (labeled || collect) g.labelArray else None
-    val sc = g.edges.sparkSession.sparkContext
+    val sc = g.spark.sparkContext
     val n = 4 * sc.defaultParallelism
     sc.parallelize(0 until n, n)
       .mapPartitions { js =>

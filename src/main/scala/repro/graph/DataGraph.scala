@@ -1,9 +1,9 @@
 package repro.graph
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DataType, IntegerType, LongType, StructField, StructType}
 
 /** The data-graph substrate of the matching engine.
   *
@@ -13,109 +13,178 @@ import org.apache.spark.sql.functions._
   * paper's degree-based load-balancing order, and "high-to-low" exploration
   * corresponds to descending ids.
   *
-  * @param edges    canonical undirected edges, columns (src, dst), src < dst
-  * @param adj      symmetric edge relation (both directions), columns (src, dst)
-  * @param vertices single column `v` — every vertex incident to an edge
-  * @param labels   optional (v, lab) after the same relabeling
-  * @param mapping  (orig, v): original id → degree-ranked id (for debugging)
+  * The graph is held on the driver as a `Csr` over those ids, a label per
+  * id (`Csr.NoLabel` where none) and the original id of each id. The plan
+  * executor and the pattern-unaware baselines read the first two as
+  * broadcasts (`csr`, `labelArray`), sent on first use.
   *
-  * The plan executor and the pattern-unaware baselines read the graph as a
-  * broadcast `Csr` (and, where they read labels, a broadcast label array).
-  * Both are built on first use, the way the cached relations fill on their
-  * first scan, so a graph that is only queried through joins never pays for
-  * them.
+  * The relational views are DataFrames over the same arrays, made on first
+  * use and never cached (a scan regenerates its rows from the arrays):
+  *
+  *  - `edges`: canonical undirected edges, columns (src, dst), src < dst;
+  *  - `adj`: symmetric edge relation (both directions), columns (src, dst);
+  *  - `vertices`: single column `v` — every vertex incident to an edge;
+  *  - `labels`: optional (v, lab) after the same relabeling, one row per
+  *    labeled vertex;
+  *  - `mapping`: (orig, v), original id → degree-ranked id.
   */
-final case class DataGraph(
-    edges: DataFrame,
-    adj: DataFrame,
-    vertices: DataFrame,
-    labels: Option[DataFrame],
-    mapping: DataFrame,
-    numVertices: Long,
-    numEdges: Long
+final class DataGraph private (
+    val spark: SparkSession,
+    local: Csr,
+    localLabels: Option[Array[Int]],
+    origIds: Array[Long] // original id of each degree-ranked id
 ) {
+  val numVertices: Long = local.numVertices
+  val numEdges: Long = local.nbrs.length / 2
+
+  /** Whether the graph carries a label relation. */
+  def labeled: Boolean = localLabels.isDefined
+
   private var csrB: Broadcast[Csr] = _
   private var labelsB: Broadcast[Array[Int]] = _
 
-  /** The graph as a broadcast CSR, built from one collect of `edges`. */
+  /** The graph as a broadcast CSR. */
   def csr: Broadcast[Csr] = synchronized {
-    if (csrB == null) {
-      require(numVertices < Int.MaxValue, s"$numVertices vertices do not fit Int ids")
-      val packed = edges.rdd
-        .mapPartitions(rows => Iterator(rows.map(r => (r.getLong(0) << 32) | r.getLong(1)).toArray))
-        .collect()
-        .flatten
-      csrB = edges.sparkSession.sparkContext.broadcast(Csr.fromPackedEdges(numVertices.toInt, packed))
-    }
+    if (csrB == null) csrB = spark.sparkContext.broadcast(local)
     csrB
   }
 
   /** Label of every vertex id (`Csr.NoLabel` where none), broadcast; `None`
     * for an unlabeled graph.
     */
-  def labelArray: Option[Broadcast[Array[Int]]] = labels.map { lf =>
+  def labelArray: Option[Broadcast[Array[Int]]] = localLabels.map { arr =>
     synchronized {
-      if (labelsB == null) {
-        val arr = Array.fill(numVertices.toInt)(Csr.NoLabel)
-        for (r <- lf.collect()) arr(r.getLong(0).toInt) = r.getInt(1)
-        labelsB = lf.sparkSession.sparkContext.broadcast(arr)
-      }
+      if (labelsB == null) labelsB = spark.sparkContext.broadcast(arr)
       labelsB
     }
   }
 
-  /** Release cached state (benchmarks build many graphs). */
-  def unpersist(): Unit = {
-    edges.unpersist(); adj.unpersist(); vertices.unpersist()
-    labels.foreach(_.unpersist()); mapping.unpersist()
-    synchronized {
-      Option(csrB).foreach(_.destroy()); csrB = null
-      Option(labelsB).foreach(_.destroy()); labelsB = null
+  lazy val edges: DataFrame = {
+    val c = local
+    relation("src" -> LongType, "dst" -> LongType) { v =>
+      (c.offsets(v) until c.offsets(v + 1)).iterator.map(i => c.nbrs(i)).filter(_ > v).map(w => Row(v.toLong, w.toLong))
     }
+  }
+
+  lazy val adj: DataFrame = {
+    val c = local
+    relation("src" -> LongType, "dst" -> LongType) { v =>
+      (c.offsets(v) until c.offsets(v + 1)).iterator.map(i => Row(v.toLong, c.nbrs(i).toLong))
+    }
+  }
+
+  lazy val vertices: DataFrame = relation("v" -> LongType)(v => Iterator(Row(v.toLong)))
+
+  lazy val labels: Option[DataFrame] = localLabels.map { arr =>
+    relation("v" -> LongType, "lab" -> IntegerType) { v =>
+      if (arr(v) == Csr.NoLabel) Iterator.empty else Iterator(Row(v.toLong, arr(v)))
+    }
+  }
+
+  lazy val mapping: DataFrame = {
+    val orig = origIds
+    relation("orig" -> LongType, "v" -> LongType)(v => Iterator(Row(orig(v), v.toLong)))
+  }
+
+  /** A DataFrame of the rows `rows` yields for each vertex id. */
+  private def relation(cols: (String, DataType)*)(rows: Int => Iterator[Row]): DataFrame = {
+    val ids = spark.sparkContext.parallelize(0 until numVertices.toInt)
+    spark.createDataFrame(ids.flatMap(rows), StructType(cols.map { case (c, t) => StructField(c, t, nullable = false) }))
+  }
+
+  /** Release the broadcasts (benchmarks build many graphs); a later query
+    * broadcasts the arrays again.
+    */
+  def unpersist(): Unit = synchronized {
+    Option(csrB).foreach(_.destroy()); csrB = null
+    Option(labelsB).foreach(_.destroy()); labelsB = null
   }
 }
 
 object DataGraph {
 
+  /** The largest array the JVM allocates. */
+  private val MaxArray = Int.MaxValue - 8
+
   /** Build the substrate from a raw undirected edge list (columns src, dst;
     * orientation/duplicates/self-loops are normalized away) and optional
     * vertex labels (columns v, lab). Isolated vertices are dropped — they
     * cannot participate in any match of a pattern with at least one edge.
+    *
+    * A vertex carries at most one label: repeated rows with its label
+    * collapse, and two different labels fail a `require`.
+    *
+    * The raw edges and labels are collected once; everything else is built
+    * on the driver, so 2·|E| (before deduplication) must fit an `Int`-indexed
+    * array, which also bounds |V| below `Int.MaxValue`.
     */
   def fromEdges(spark: SparkSession, rawEdges: DataFrame, rawLabels: Option[DataFrame] = None): DataGraph = {
-    val clean = rawEdges
-      .select(col("src").cast("long") as "a", col("dst").cast("long") as "b")
-      .filter(col("a") =!= col("b"))
-      .select(least(col("a"), col("b")) as "src", greatest(col("a"), col("b")) as "dst")
-      .distinct()
+    // (a, b) pairs, a < b, flattened; original ids are kept whole (they may
+    // exceed 32 bits) until they are ranked.
+    val chunks = rawEdges
+      .select(col("src").cast("long"), col("dst").cast("long"))
+      .filter(col("src") =!= col("dst"))
+      .rdd
+      .mapPartitions { rows =>
+        val out = Array.newBuilder[Long]
+        for (r <- rows) {
+          val a = r.getLong(0); val b = r.getLong(1)
+          out += math.min(a, b); out += math.max(a, b)
+        }
+        Iterator(out.result())
+      }
+      .collect()
+    val endpoints = chunks.iterator.map(_.length.toLong).sum
+    require(endpoints <= MaxArray, s"${endpoints / 2} edges do not fit the driver's Int-indexed arrays")
+    val ends = Array.concat(chunks.toSeq: _*)
 
-    val sym = clean.union(clean.select(col("dst") as "src", col("src") as "dst"))
-    val degrees = sym.groupBy(col("src") as "orig").agg(count(lit(1)) as "deg")
-    // Global rank — a single-partition window is fine at reproduction scale
-    // (lite graphs are ≤ ~1M edges); at paper scale this would be a sort +
-    // zipWithIndex.
-    val mapping = degrees
-      .withColumn("v", row_number().over(Window.orderBy(col("deg"), col("orig"))).cast("long") - 1)
-      .select(col("orig"), col("v"))
-      .cache()
+    // Dense indices 0..n-1 in original-id order.
+    val ids = ends.clone()
+    java.util.Arrays.sort(ids)
+    val n = dedupe(ids)
+    def index(orig: Long): Int = java.util.Arrays.binarySearch(ids, 0, n, orig)
 
-    val edges0 = clean
-      .join(mapping.withColumnRenamed("orig", "src").withColumnRenamed("v", "sv"), "src")
-      .join(mapping.withColumnRenamed("orig", "dst").withColumnRenamed("v", "dv"), "dst")
-      .select(least(col("sv"), col("dv")) as "src", greatest(col("sv"), col("dv")) as "dst")
-    val edges = edges0.cache()
-    val adj = edges.union(edges.select(col("dst") as "src", col("src") as "dst")).cache()
-    val vertices = mapping.select(col("v")).cache()
+    val packed = Array.tabulate(ends.length / 2)(k => (index(ends(2 * k)).toLong << 32) | index(ends(2 * k + 1)))
+    java.util.Arrays.sort(packed)
+    val m = dedupe(packed)
 
-    val labels = rawLabels.map { lf =>
-      lf.select(col("v").cast("long") as "orig", col("lab").cast("int") as "lab")
-        .join(mapping, "orig")
-        .select(col("v"), col("lab"))
-        .cache()
+    // Rank by (degree, original id): a counting sort by degree that keeps
+    // index order within a degree.
+    val deg = new Array[Int](n)
+    for (k <- 0 until m) { deg((packed(k) >>> 32).toInt) += 1; deg(packed(k).toInt) += 1 }
+    val start = new Array[Int](deg.foldLeft(0)(math.max) + 2)
+    for (d <- deg) start(d + 1) += 1
+    for (d <- 1 until start.length) start(d) += start(d - 1)
+    val rank = new Array[Int](n)
+    val origIds = new Array[Long](n)
+    for (i <- 0 until n) {
+      rank(i) = start(deg(i)); start(deg(i)) += 1
+      origIds(rank(i)) = ids(i)
+    }
+    val ranked = Array.tabulate(m)(k => (rank((packed(k) >>> 32).toInt).toLong << 32) | rank(packed(k).toInt))
+
+    val labelArr = rawLabels.map { lf =>
+      val arr = Array.fill(n)(Csr.NoLabel)
+      for (r <- lf.select(col("v").cast("long"), col("lab").cast("int")).na.drop().collect()) {
+        val i = index(r.getLong(0))
+        if (i >= 0) {
+          val v = rank(i)
+          val lab = r.getInt(1)
+          require(lab != Csr.NoLabel, s"label $lab is reserved for unlabeled vertices")
+          require(arr(v) == Csr.NoLabel || arr(v) == lab, s"vertex ${r.getLong(0)} has two labels, ${arr(v)} and $lab")
+          arr(v) = lab
+        }
+      }
+      arr
     }
 
-    val nE = edges.count()
-    val nV = vertices.count()
-    DataGraph(edges, adj, vertices, labels, mapping, nV, nE)
+    new DataGraph(spark, Csr.fromPackedEdges(n, ranked), labelArr, origIds)
+  }
+
+  /** Removes repeats from the sorted `xs` in place; returns the distinct count. */
+  private def dedupe(xs: Array[Long]): Int = {
+    var n = 0
+    for (i <- xs.indices) if (n == 0 || xs(i) != xs(n - 1)) { xs(n) = xs(i); n += 1 }
+    n
   }
 }

@@ -4,16 +4,19 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Dataset statistics for the Table 2 reproduction: |V|, |E|, |L|, max and
-  * average degree. Computed from the substrate's canonical edge relation.
+  * average degree. Read from the substrate's CSR and label array, so they
+  * run no Spark job.
   */
 object GraphStats {
 
   final case class Stats(numVertices: Long, numEdges: Long, numLabels: Option[Long], maxDegree: Long, avgDegree: Double)
 
   def describe(g: DataGraph): Stats = {
-    val row = degreeDf(g).agg(max("deg") as "maxd", avg("deg") as "avgd").head()
-    val nLabels = g.labels.map(_.select(countDistinct("lab")).head().getLong(0))
-    Stats(g.numVertices, g.numEdges, nLabels, row.getLong(0), row.getDouble(1))
+    val csr = g.csr.value
+    val maxDegree = (0 until csr.numVertices).iterator.map(csr.degree).maxOption.getOrElse(0)
+    val avgDegree = if (csr.numVertices == 0) 0.0 else csr.offsets.last.toDouble / csr.numVertices
+    val nLabels = g.labelArray.map(_.value.iterator.filter(_ != Csr.NoLabel).distinct.size.toLong)
+    Stats(g.numVertices, g.numEdges, nLabels, maxDegree, avgDegree)
   }
 
   /** Per-vertex degree as a DataFrame (v, deg) — oracle-checkable. */

@@ -2,6 +2,9 @@ package repro.graph
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.apps.{CliqueCount, Fsm}
+import repro.core.Existence
+import repro.pattern.Patterns
 
 /** The data-graph substrate: normalization, degree ordering (§5.2), labels. */
 class DataGraphSpec extends SparkSpec {
@@ -101,5 +104,70 @@ class DataGraphSpec extends SparkSpec {
     val ids = g.mapping.select("v").collect().map(_.getLong(0)).sorted
     assert(ids.toSeq == (0L until g.numVertices).toSeq)
     assert(g.mapping.select("orig").distinct().count() == g.numVertices)
+  }
+
+  /** DuckDB's normalization and degree ranking of a raw edge table `raw`. */
+  private val rankedSql =
+    """WITH e AS (SELECT DISTINCT least(CAST(src AS BIGINT), CAST(dst AS BIGINT)) AS a,
+      |                           greatest(CAST(src AS BIGINT), CAST(dst AS BIGINT)) AS b
+      |           FROM raw WHERE CAST(src AS BIGINT) <> CAST(dst AS BIGINT)),
+      |     d AS (SELECT x AS orig, count(*) AS deg FROM (SELECT a AS x FROM e UNION ALL SELECT b FROM e) GROUP BY x),
+      |     m AS (SELECT orig, row_number() OVER (ORDER BY deg, orig) - 1 AS v FROM d)""".stripMargin
+
+  test("mapping and edges match DuckDB's ranking on large sparse ids, reversed duplicates, self-loops and ties") {
+    import spark.implicits._
+    val big = 1L << 32
+    val (a, b, c, d, e) = (big + 7, 3L * big, 5L, Long.MaxValue - 1, big + 8)
+    val rawEdges = Seq(
+      (a, b), (b, a), (a, b), // one edge, given three times in both orientations
+      (c, a), (c, c), (42L, 42L), // self-loops; 42 has no other edge, so it is no vertex
+      (b, c), (c, d), (d, e), (e, b), (a, e) // d has degree 2; a, b, c and e tie at 3
+    )
+    val raw = rawEdges.toDF("src", "dst")
+    val g = DataGraph.fromEdges(spark, raw)
+    Oracle.assertEquivalent(g.mapping, s"$rankedSql SELECT orig, v FROM m", "raw" -> raw)
+    Oracle.assertEquivalent(g.edges,
+      s"""$rankedSql SELECT least(x.v, y.v) AS src, greatest(x.v, y.v) AS dst
+         |FROM e JOIN m x ON x.orig = e.a JOIN m y ON y.orig = e.b""".stripMargin,
+      "raw" -> raw)
+    assert(g.numVertices == 5 && g.numEdges == 7)
+  }
+
+  test("an empty edge list, or one of self-loops only, gives an empty graph") {
+    import spark.implicits._
+    for (raw <- Seq(Seq.empty[(Long, Long)], Seq((1L, 1L), (7L, 7L)))) {
+      val labels = Seq((1L, 0), (7L, 1)).toDF("v", "lab")
+      for (g <- Seq(DataGraph.fromEdges(spark, raw.toDF("src", "dst")),
+                    DataGraph.fromEdges(spark, raw.toDF("src", "dst"), Some(labels)))) {
+        assert(g.numVertices == 0 && g.numEdges == 0)
+        assert(g.csr.value.numVertices == 0 && g.csr.value.nbrs.isEmpty)
+        assert(g.edges.count() == 0 && g.adj.count() == 0 && g.vertices.count() == 0 && g.mapping.count() == 0)
+        assert(CliqueCount.count(g, 3) == 0)
+        assert(!Existence.exists(g, Patterns.generateChain(2)))
+        if (g.labeled) {
+          assert(g.labelArray.get.value.isEmpty && g.labels.get.count() == 0)
+          assert(Fsm.run(spark, g, maxEdges = 2, threshold = 1).totalPatterns == 0)
+        }
+        g.unpersist()
+      }
+    }
+  }
+
+  test("vertices the label relation omits read NoLabel and have no labels row") {
+    import spark.implicits._
+    val g = DataGraph.fromEdges(spark, Seq((1L, 2L), (2L, 3L), (3L, 4L)).toDF("src", "dst"),
+      Some(Seq((1L, 5), (3L, 6)).toDF("v", "lab")))
+    val byOrig = g.mapping.collect().map(r => r.getLong(0) -> r.getLong(1).toInt).toMap
+    val arr = g.labelArray.get.value
+    assert(Seq(1L, 2L, 3L, 4L).map(o => arr(byOrig(o))) == Seq(5, Csr.NoLabel, 6, Csr.NoLabel))
+    assert(g.labels.get.collect().map(r => r.getLong(0) -> r.getInt(1)).toSet == Set(byOrig(1L).toLong -> 5, byOrig(3L).toLong -> 6))
+  }
+
+  test("a vertex has one label: repeated rows collapse, two different labels are refused") {
+    import spark.implicits._
+    val raw = Seq((1L, 2L)).toDF("src", "dst")
+    val g = DataGraph.fromEdges(spark, raw, Some(Seq((1L, 4), (1L, 4), (2L, 3)).toDF("v", "lab")))
+    assert(g.labels.get.count() == 2)
+    intercept[IllegalArgumentException](DataGraph.fromEdges(spark, raw, Some(Seq((1L, 4), (1L, 5)).toDF("v", "lab"))))
   }
 }
