@@ -1,32 +1,42 @@
 package repro
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import java.util.stream.LongStream
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.types._
+import scala.jdk.CollectionConverters._
 
 /** Deterministic graph generators (Peregrine reproduction). All draws are
-  * hash-based (xxhash64), not rand(), so results are bit-identical
-  * regardless of partitioning — the DuckDB oracle and Spark must see the
+  * hash-based (xxhash64), not random, so the DuckDB oracle and Spark see the
   * same graph.
+  *
+  * The rows are computed on the driver and returned as driver-local
+  * DataFrames (a `LocalRelation`), which Spark answers from the driver:
+  * reading one starts no Spark job. Every draw is the one the Spark
+  * expression `pmod(xxhash64(id, lit(seed)), 1000000007) / 1000000007.0`
+  * would give for row `id` of `spark.range`, followed by Spark's `pow`
+  * (`StrictMath.pow`), truncating casts and `least`, so the rows are
+  * bit-identical to that expression's.
   */
 object SynthData {
 
+  private val P = 1000000007L
+
+  /** Spark's `xxhash64(id, lit(seed))`: XXH64 of the id from Spark's default
+    * seed 42, then of the seed from that hash.
+    */
+  private def xxhash64(id: Long, seed: Long): Long = XXH64.hashLong(seed, XXH64.hashLong(id, 42L))
+
   /** Uniform in [0,1) derived from (id, seed) — fully deterministic. */
-  private def hashU(col: org.apache.spark.sql.Column, seed: Long) =
-    (pmod(xxhash64(col, lit(seed)), lit(1000000007L)).cast(DoubleType) / 1000000007.0)
+  private def hashU(id: Long, seed: Long): Double = Math.floorMod(xxhash64(id, seed), P).toDouble / P
 
   /** Erdős–Rényi-style undirected edge list: `nDraws` endpoint pairs drawn
     * uniformly over [0, nV), self-loops and duplicate edges removed (so the
     * final edge count is slightly below `nDraws`). Columns: src, dst with
     * src < dst. Models sparse, low-max-degree graphs (Patents-like).
     */
-  def graphEdgesUniform(spark: SparkSession, nV: Long, nDraws: Long, seed: Long): DataFrame = {
-    val raw = spark.range(nDraws).select(
-      (hashU(col("id"), seed) * nV).cast(LongType)     as "a",
-      (hashU(col("id"), seed + 1) * nV).cast(LongType) as "b",
-    )
-    normalizeEdges(raw)
-  }
+  def graphEdgesUniform(spark: SparkSession, nV: Long, nDraws: Long, seed: Long): DataFrame =
+    normalizedEdges(spark, nV, nDraws)(id => (hashU(id, seed) * nV).toLong, id => (hashU(id, seed + 1) * nV).toLong)
 
   /** Heavy-tailed undirected edge list: endpoint v drawn as floor(nV * u^s)
     * with skew exponent s > 1, concentrating edges on low vertex ids (the
@@ -34,18 +44,13 @@ object SynthData {
     * `skew` ⇒ heavier tail / higher max degree.
     */
   def graphEdgesZipf(spark: SparkSession, nV: Long, nDraws: Long, skew: Double, seed: Long): DataFrame = {
-    def draw(s: Long) =
-      least(lit(nV - 1), (pow(hashU(col("id"), s), lit(skew)) * nV).cast(LongType))
-    val raw = spark.range(nDraws).select(draw(seed) as "a", draw(seed + 1) as "b")
-    normalizeEdges(raw)
+    def draw(id: Long, s: Long) = math.min(nV - 1, (StrictMath.pow(hashU(id, s), skew) * nV).toLong)
+    normalizedEdges(spark, nV, nDraws)(draw(_, seed), draw(_, seed + 1))
   }
 
   /** Deterministic vertex labels in [0, nLabels) for vertices [0, nV). */
   def vertexLabels(spark: SparkSession, nV: Long, nLabels: Int, seed: Long): DataFrame =
-    spark.range(nV).select(
-      col("id") as "v",
-      pmod(xxhash64(col("id"), lit(seed)), lit(nLabels.toLong)).cast(IntegerType) as "lab",
-    )
+    labelFrame(spark, nV)(v => Math.floorMod(xxhash64(v, seed), nLabels.toLong).toInt)
 
   /** Skewed deterministic labels: label floor(nLabels·u^skew), so low labels
     * are common and high labels rare — real label distributions (research
@@ -53,24 +58,37 @@ object SynthData {
     * discriminate when label frequencies differ.
     */
   def vertexLabelsSkewed(spark: SparkSession, nV: Long, nLabels: Int, skew: Double, seed: Long): DataFrame =
-    spark.range(nV).select(
-      col("id") as "v",
-      least(lit(nLabels - 1),
-        (pow(hashU(col("id"), seed), lit(skew)) * nLabels).cast(IntegerType)) as "lab",
-    )
+    labelFrame(spark, nV)(v => math.min(nLabels - 1, (StrictMath.pow(hashU(v, seed), skew) * nLabels).toInt))
 
   /** Edges of a planted k-clique over vertices `vs` (for existence queries). */
-  def plantedClique(spark: SparkSession, vs: Seq[Long]): DataFrame = {
-    import spark.implicits._
-    (for (i <- vs.indices; j <- (i + 1) until vs.size)
-      yield (math.min(vs(i), vs(j)), math.max(vs(i), vs(j))))
-      .toDF("src", "dst")
+  def plantedClique(spark: SparkSession, vs: Seq[Long]): DataFrame =
+    local(spark, "src" -> LongType, "dst" -> LongType)(
+      for (i <- vs.indices; j <- (i + 1) until vs.size) yield Row(math.min(vs(i), vs(j)), math.max(vs(i), vs(j))))
+
+  /** The edges of draws `a(id)`–`b(id)` for `id` in [0, nDraws): self-loops
+    * dropped, oriented src < dst, deduplicated by sorting the pairs packed
+    * into one long each. Ids fit 31 bits, so a packed pair is non-negative
+    * and -1 can mark a self-loop. The draws run on the driver's cores.
+    */
+  private def normalizedEdges(spark: SparkSession, nV: Long, nDraws: Long)(a: Long => Long, b: Long => Long): DataFrame = {
+    require(nV <= (1L << 31), s"$nV vertex ids do not pack two to a long")
+    val packed = LongStream.range(0, nDraws).parallel()
+      .map { id =>
+        val x = a(id); val y = b(id)
+        if (x == y) -1L else (math.min(x, y) << 32) | math.max(x, y)
+      }
+      .filter(_ >= 0)
+      .sorted()
+      .toArray
+    val edges = (0 until packed.length).filter(k => k == 0 || packed(k) != packed(k - 1))
+    local(spark, "src" -> LongType, "dst" -> LongType)(edges.map(k => Row(packed(k) >>> 32, packed(k) & 0xffffffffL)))
   }
 
-  /** Drop self loops, orient src < dst, deduplicate. */
-  def normalizeEdges(raw: DataFrame): DataFrame =
-    raw
-      .filter(col("a") =!= col("b"))
-      .select(least(col("a"), col("b")) as "src", greatest(col("a"), col("b")) as "dst")
-      .distinct()
+  /** Rows (v, label(v)) for v in [0, nV). */
+  private def labelFrame(spark: SparkSession, nV: Long)(label: Long => Int): DataFrame =
+    local(spark, "v" -> LongType, "lab" -> IntegerType)((0L until nV).map(v => Row(v, label(v))))
+
+  /** A driver-local DataFrame of `rows`. */
+  private def local(spark: SparkSession, cols: (String, DataType)*)(rows: Seq[Row]): DataFrame =
+    spark.createDataFrame(rows.asJava, StructType(cols.map { case (c, t) => StructField(c, t, nullable = false) }))
 }

@@ -6,14 +6,19 @@ import repro.pattern.Patterns
 
 /** Global clustering coefficient existence query (Fig 4b).
   *
-  * The program first counts edge-induced 3-star (wedge) matches — the
-  * number of triplets is twice that, since the wedge endpoints are
-  * symmetric — then counts triangles, stopping early once enough triangles
-  * have been seen for the bound to hold.
+  * The coefficient is the standard 3·T / #connected triples: T triangles,
+  * each closing three connected triples, over every path of length two,
+  * of which there are Σ_v C(deg v, 2). A path of length two is exactly one
+  * canonical match of the 2-spoke star, so the program counts the triples
+  * as wedge matches, then counts triangles, stopping early once enough
+  * triangles have been seen for the bound to hold. A lone triangle reads 1
+  * and a star 0.
   */
 object ClusteringCoeff {
 
-  /** Canonical wedge count (edge-induced matches of the 2-spoke star). */
+  /** Canonical wedge count (edge-induced matches of the 2-spoke star): the
+    * number of connected triples.
+    */
   def wedges(g: DataGraph): Long =
     MatchEngine.countMatches(g, Patterns.generateStar(2))
 
@@ -21,19 +26,17 @@ object ClusteringCoeff {
   def triangles(g: DataGraph): Long =
     MatchEngine.countMatches(g, Patterns.generateClique(3))
 
-  /** Exact global clustering coefficient: 3·triangles / triplets, with
-    * triplets = 2 · wedge matches (per the Fig 4b program's accounting).
-    */
+  /** Exact global clustering coefficient: 3·triangles / wedges. */
   def coefficient(g: DataGraph): Double = {
     val w = wedges(g)
-    if (w == 0) 0.0 else 3.0 * triangles(g) / (2.0 * w)
+    if (w == 0) 0.0 else 3.0 * triangles(g) / w
   }
 
   /** Fig 4b: does the coefficient exceed `bound`? Triangle counting stops
     * as soon as the requisite number of triangles has been observed.
     */
   def exceedsBound(g: DataGraph, bound: Double): Boolean = {
-    val triplets = 2.0 * wedges(g)
+    val triplets = wedges(g).toDouble
     if (triplets == 0) return false
     // The smallest triangle count T with 3T > bound · triplets is floor(x) + 1
     // for x = bound · triplets / 3. Rounding in x can shift that by one, so

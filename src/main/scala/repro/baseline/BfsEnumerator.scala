@@ -2,7 +2,6 @@ package repro.baseline
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.MniSupport
 import repro.graph.DataGraph
 import repro.pattern.{Pattern, PatternCodec}
 
@@ -156,8 +155,7 @@ object BfsEnumerator {
         .select(col("es"), col("vs"), col("kv._1") as "key", col("kv._2") as "cvs")
         .cache()
       t.isomorphism += withKey.count()
-      val sup = MniSupport.supportsByKey[String](
-        withKey.select(col("key"), col("cvs") as "vs"), PatternCodec.decode)
+      val sup = KeyedMni.supports(withKey.select(col("key"), col("cvs") as "vs"))
       threshold match {
         case Some(tau) =>
           val frequent = sup.filter(_._2 >= tau)

@@ -3,9 +3,8 @@ package repro.baseline
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.util.LongAccumulator
-import repro.core.MniSupport
 import repro.graph.{Csr, DataGraph}
-import repro.pattern.{Automorphism, Pattern, PatternCodec}
+import repro.pattern.{Automorphism, Pattern}
 
 /** Depth-first, pattern-UNaware exploration — the Fractal [12] model of
   * §6.3. Each data vertex is a task; tasks enumerate ALL connected (induced)
@@ -189,7 +188,7 @@ object DfsEnumerator {
       }
       .toDF("key", "vs")
 
-    val supports = MniSupport.supportsByKey[String](keyed, PatternCodec.decode)
+    val supports = KeyedMni.supports(keyed)
     (supports, accs.toProfile)
   }
 

@@ -1,9 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import org.roaringbitmap.RoaringBitmap
-import scala.reflect.runtime.universe.TypeTag
 import repro.graph.DataGraph
 import repro.pattern.{Automorphism, Pattern}
 import repro.plan.Planner
@@ -67,43 +64,10 @@ object MniSupport {
     }
   }
 
-  /** MNI support of every pattern in `keyed`, which holds one row per match:
-    * a pattern key (column `key`) and the matched data vertices in the order
-    * of that pattern's regular vertices (column `vs`). `pattern` decodes a
-    * key. Each position's domain is merged across its automorphism orbit
-    * under the decoded pattern's own automorphisms; support is the smallest
-    * merged domain. Returns (decoded pattern, support) per distinct key.
-    * The pattern-unaware baselines, which list their matches, aggregate
-    * with this.
-    */
-  def supportsByKey[K: TypeTag](keyed: DataFrame, pattern: K => Pattern): Seq[(Pattern, Long)] = {
-    val cached = keyed.cache()
-    try {
-      val keys = cached.select("key").distinct().collect().toSeq.map(_.getAs[K](0))
-      if (keys.isEmpty) return Seq.empty
-      val keyInfo: Map[K, (Pattern, Seq[Int])] = keys.map { key =>
-        val pat = pattern(key)
-        key -> (pat, orbitIds(pat))
-      }.toMap
-      val orbitMaps = keyInfo.map { case (key, (_, orbitOf)) => (key, orbitOf) }
-      val orbitUdf = udf((key: K, pos: Int) => orbitMaps(key)(pos))
-      cached
-        .select(col("key"), posexplode(col("vs")) as Seq("pos", "v"))
-        .withColumn("orbit", orbitUdf(col("key"), col("pos")))
-        .groupBy("key", "orbit")
-        .agg(countDistinct("v") as "c")
-        .groupBy("key")
-        .agg(min("c") as "support")
-        .collect()
-        .map(r => (keyInfo(r.getAs[K](0))._1, r.getLong(1)))
-        .toSeq
-    } finally cached.unpersist()
-  }
-
   /** Orbit id of each of `p`'s regular vertices, in `regularVertices` order,
     * under Aut(p).
     */
-  private def orbitIds(p: Pattern): Seq[Int] = {
+  private[repro] def orbitIds(p: Pattern): Seq[Int] = {
     val reg = p.regularVertices
     val orbits = Automorphism.orbitsOf(reg, Automorphism.all(p))
     reg.map(v => orbits.indexWhere(_.contains(v)))

@@ -2,7 +2,6 @@ package repro.graph
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DataType, IntegerType, LongType, StructField, StructType}
 
 /** The data-graph substrate of the matching engine.
@@ -106,46 +105,48 @@ object DataGraph {
   /** The largest array the JVM allocates. */
   private val MaxArray = Int.MaxValue - 8
 
-  /** Build the substrate from a raw undirected edge list (columns src, dst;
-    * orientation/duplicates/self-loops are normalized away) and optional
-    * vertex labels (columns v, lab). Isolated vertices are dropped — they
-    * cannot participate in any match of a pattern with at least one edge.
+  /** Build the substrate from a raw undirected edge list (integral columns
+    * src, dst; orientation/duplicates/self-loops are normalized away, rows
+    * with a null endpoint skipped) and optional vertex labels (integral
+    * columns v, lab; rows with a null skipped). Isolated vertices are
+    * dropped — they cannot participate in any match of a pattern with at
+    * least one edge.
     *
     * A vertex carries at most one label: repeated rows with its label
     * collapse, and two different labels fail a `require`.
     *
-    * The raw edges and labels are collected once; everything else is built
-    * on the driver, so 2·|E| (before deduplication) must fit an `Int`-indexed
-    * array, which also bounds |V| below `Int.MaxValue`.
+    * The raw edges and labels are each read with one `Dataset.collect`, as
+    * given (no Catalyst operator is added, so the collect compiles as
+    * little as possible); everything else is built on the driver, so 2·|E|
+    * (before deduplication) must fit an `Int`-indexed array, which also
+    * bounds |V| below `Int.MaxValue`. Spark answers the collect of a
+    * driver-local relation (such as `SynthData`'s generators return) from
+    * the driver, so building from one starts no Spark job; any other input
+    * costs one job per collect.
     */
   def fromEdges(spark: SparkSession, rawEdges: DataFrame, rawLabels: Option[DataFrame] = None): DataGraph = {
     // (a, b) pairs, a < b, flattened; original ids are kept whole (they may
-    // exceed 32 bits) until they are ranked.
-    val chunks = rawEdges
-      .select(col("src").cast("long"), col("dst").cast("long"))
-      .filter(col("src") =!= col("dst"))
-      .rdd
-      .mapPartitions { rows =>
-        val out = Array.newBuilder[Long]
-        for (r <- rows) {
-          val a = r.getLong(0); val b = r.getLong(1)
-          out += math.min(a, b); out += math.max(a, b)
-        }
-        Iterator(out.result())
-      }
-      .collect()
-    val endpoints = chunks.iterator.map(_.length.toLong).sum
-    require(endpoints <= MaxArray, s"${endpoints / 2} edges do not fit the driver's Int-indexed arrays")
-    val ends = Array.concat(chunks.toSeq: _*)
+    // exceed 32 bits) until they are ranked. Rows with a null endpoint and
+    // self-loops are skipped.
+    val (src, dst) = (rawEdges.schema.fieldIndex("src"), rawEdges.schema.fieldIndex("dst"))
+    val rows = rawEdges.collect()
+    require(2L * rows.length <= MaxArray, s"${rows.length} edges do not fit the driver's Int-indexed arrays")
+    val pairs = new Array[Long](2 * rows.length)
+    var filled = 0
+    for (r <- rows if !r.isNullAt(src) && !r.isNullAt(dst)) {
+      val a = id(r, src); val b = id(r, dst)
+      if (a != b) { pairs(filled) = math.min(a, b); pairs(filled + 1) = math.max(a, b); filled += 2 }
+    }
+    val ends = java.util.Arrays.copyOf(pairs, filled)
 
     // Dense indices 0..n-1 in original-id order.
     val ids = ends.clone()
-    java.util.Arrays.sort(ids)
+    java.util.Arrays.parallelSort(ids)
     val n = dedupe(ids)
     def index(orig: Long): Int = java.util.Arrays.binarySearch(ids, 0, n, orig)
 
     val packed = Array.tabulate(ends.length / 2)(k => (index(ends(2 * k)).toLong << 32) | index(ends(2 * k + 1)))
-    java.util.Arrays.sort(packed)
+    java.util.Arrays.parallelSort(packed)
     val m = dedupe(packed)
 
     // Rank by (degree, original id): a counting sort by degree that keeps
@@ -165,13 +166,14 @@ object DataGraph {
 
     val labelArr = rawLabels.map { lf =>
       val arr = Array.fill(n)(Csr.NoLabel)
-      for (r <- lf.select(col("v").cast("long"), col("lab").cast("int")).na.drop().collect()) {
-        val i = index(r.getLong(0))
+      val (vc, lc) = (lf.schema.fieldIndex("v"), lf.schema.fieldIndex("lab"))
+      for (r <- lf.collect() if !r.isNullAt(vc) && !r.isNullAt(lc)) {
+        val i = index(id(r, vc))
         if (i >= 0) {
           val v = rank(i)
-          val lab = r.getInt(1)
+          val lab = r.getAs[Number](lc).intValue
           require(lab != Csr.NoLabel, s"label $lab is reserved for unlabeled vertices")
-          require(arr(v) == Csr.NoLabel || arr(v) == lab, s"vertex ${r.getLong(0)} has two labels, ${arr(v)} and $lab")
+          require(arr(v) == Csr.NoLabel || arr(v) == lab, s"vertex ${id(r, vc)} has two labels, ${arr(v)} and $lab")
           arr(v) = lab
         }
       }
@@ -180,6 +182,9 @@ object DataGraph {
 
     new DataGraph(spark, Csr.fromPackedEdges(n, ranked), labelArr, origIds)
   }
+
+  /** The integral id in column `c` of `r`. */
+  private def id(r: Row, c: Int): Long = r.getAs[Number](c).longValue
 
   /** Removes repeats from the sorted `xs` in place; returns the distinct count. */
   private def dedupe(xs: Array[Long]): Int = {

@@ -45,17 +45,17 @@ class PlanExecutorSpec extends SparkSpec {
       assert(MatchEngine.countMatches(g, p, symmetry) == expected, s"$p symmetry=$symmetry")
   }
 
-  test("executor agrees with the join engine and LocalRef on er") {
+  test("executor agrees with LocalRef on er") {
     val g = TestGraphs.dataGraph(spark, erEdges)
     unlabeled.foreach(agree(g, LocalRef.graph(erEdges), _))
   }
 
-  test("executor agrees with the join engine and LocalRef on sk") {
+  test("executor agrees with LocalRef on sk") {
     val g = TestGraphs.dataGraph(spark, skEdges)
     unlabeled.foreach(agree(g, LocalRef.graph(skEdges), _))
   }
 
-  test("executor agrees with the join engine and LocalRef on a labeled graph") {
+  test("executor agrees with LocalRef on a labeled graph") {
     val g = TestGraphs.dataGraph(spark, labEdges, labLabels)
     (unlabeled ++ labeled).foreach(agree(g, LocalRef.graph(labEdges, labLabels), _))
   }

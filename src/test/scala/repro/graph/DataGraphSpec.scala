@@ -1,7 +1,10 @@
 package repro.graph
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.{Oracle, SparkSpec, SynthData, TestGraphs}
 import repro.apps.{CliqueCount, Fsm}
 import repro.core.Existence
 import repro.pattern.Patterns
@@ -169,5 +172,51 @@ class DataGraphSpec extends SparkSpec {
     val g = DataGraph.fromEdges(spark, raw, Some(Seq((1L, 4), (1L, 4), (2L, 3)).toDF("v", "lab")))
     assert(g.labels.get.count() == 2)
     intercept[IllegalArgumentException](DataGraph.fromEdges(spark, raw, Some(Seq((1L, 4), (1L, 5)).toDF("v", "lab"))))
+  }
+
+  /** `f`'s result and the number of Spark jobs it started. A marker job run
+    * after `f` bounds the count: listener events arrive in order, so every
+    * job `f` started is seen before the marker.
+    */
+  private def jobsDuring[T](f: => T): (T, Int) = {
+    val sc = spark.sparkContext
+    val started = new AtomicInteger
+    val marker = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty("repro.marker") != null)) marker.countDown()
+        else if (marker.getCount > 0) started.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    try {
+      val out = f
+      sc.setLocalProperty("repro.marker", "1")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty("repro.marker", null)
+      assert(marker.await(60, TimeUnit.SECONDS), "the marker job was not seen")
+      (out, started.get)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  /** The benchmark's MI graph at 5 % size: a zipf edge list and skewed labels. */
+  private def miSmall = (SynthData.graphEdgesZipf(spark, 100, 1200, 1.6, 11), SynthData.vertexLabelsSkewed(spark, 100, 29, 2.0, 12))
+
+  test("a build from the generators starts no Spark job") {
+    val (g, jobs) = jobsDuring(GraphGen.miLite(spark, 0.05).graph)
+    assert(jobs == 0)
+    assert(g.numEdges > 0 && g.labeled)
+    // The check sees jobs: the same edges spread over partitions cost one.
+    assert(jobsDuring(DataGraph.fromEdges(spark, miSmall._1.repartition(8)))._2 >= 1)
+  }
+
+  test("a driver-local relation and its repartitioned copy build the same graph") {
+    val (edges, labels) = miSmall
+    val local = DataGraph.fromEdges(spark, edges, Some(labels))
+    val spread = DataGraph.fromEdges(spark, edges.repartition(8), Some(labels.repartition(8)))
+    val (a, b) = (local.csr.value, spread.csr.value)
+    assert(a.offsets.toSeq == b.offsets.toSeq && a.nbrs.toSeq == b.nbrs.toSeq)
+    assert(local.labelArray.get.value.toSeq == spread.labelArray.get.value.toSeq)
+    def mapping(g: DataGraph) = g.mapping.collect().map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq
+    assert(mapping(local) == mapping(spread))
+    local.unpersist(); spread.unpersist()
   }
 }
