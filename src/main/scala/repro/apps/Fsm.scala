@@ -49,15 +49,12 @@ object Fsm {
       val shapes = CanonicalForm.distinct(
         candidates.map(c => c.copy(labels = Map.empty))
       )
-      val discovered = shapes.flatMap(MniSupport.labeledSupports(g, _, symmetry)).filter(_._2 >= threshold)
-      // The same labeled pattern can be discovered from different candidate
-      // extensions — keep one entry per canonical labeled pattern.
-      val frequent = discovered
-        .groupBy { case (p, _) => CanonicalForm.key(p) }
-        .values
-        .map(_.head)
-        .toSeq
-        .sortBy(p => CanonicalForm.key(p._1))
+      val frequent = shapes
+        .flatMap(MniSupport.labeledSupports(g, _, symmetry))
+        .filter(_._2 >= threshold)
+        .map(p => (CanonicalForm.key(p._1), p))
+        .sortBy(_._1)
+        .map(_._2)
       out(e) = frequent
       frontier = frequent.map(_._1)
       if (frontier.isEmpty) return Result(out.toMap)

@@ -68,8 +68,6 @@ object Harness {
   /** How long a cancelled cell may take to unwind before the next one runs. */
   private val unwindSeconds = 30
 
-  def defaultBudget: Int = sys.env.get("REPRO_BENCH_BUDGET").map(_.toInt).getOrElse(240)
-
   /** Fixed-width table printer (markdown-ish, readable in test logs). */
   def render(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
     val all = header +: rows

@@ -5,8 +5,8 @@ import repro.graph.{DataGraph, GraphGen}
 
 /** Lazily-built evaluation datasets shared by the table runners. Each lite
   * graph is built on first use, together with its broadcast CSR and label
-  * array, and kept for the bench JVM, which runs the table suites
-  * sequentially. `build` reports what each step took.
+  * array, and kept for the JVM, which runs the tables `Main` is given in
+  * turn. `build` reports what each step took.
   */
 final class LiteData(spark: SparkSession, val scale: Double = GraphGen.scaleFromEnv) {
   import LiteData.Build
@@ -53,12 +53,4 @@ object LiteData {
     * label-array broadcast took.
     */
   final case class Build(name: String, graph: DataGraph, buildS: Double, csrS: Double, labelsS: Option[Double])
-
-  private var shared: LiteData = _
-
-  /** One instance per JVM so consecutive bench suites reuse cached graphs. */
-  def forSpark(spark: SparkSession): LiteData = synchronized {
-    if (shared == null) shared = new LiteData(spark)
-    shared
-  }
 }

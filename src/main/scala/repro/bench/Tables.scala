@@ -2,7 +2,7 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import repro.apps.{CliqueCount, ClusteringCoeff, EvalPatterns, Fsm, MotifCount}
-import repro.baseline.{BfsEnumerator, DfsEnumerator, GMinerStyle}
+import repro.baseline.{BfsEnumerator, DfsEnumerator, GMinerStyle, Profile}
 import repro.core.{Existence, MatchEngine, PlanExecutor, VertexInduced}
 import repro.graph.{DataGraph, GraphStats}
 import repro.pattern.{Pattern, Patterns}
@@ -15,8 +15,8 @@ import repro.plan.Planner
   * (OOM / out of disk) are skipped and marked 'np' (not performed).
   *
   * Every runner returns (formatted table, rows) where a row is
-  * (app, graph, Seq(system -> cell)); bench suites assert cross-system
-  * value agreement on the rows, then print the table.
+  * (app, graph, Seq(system -> cell)); `check` lists what is wrong with a
+  * table's rows.
   */
 object Tables {
 
@@ -26,25 +26,96 @@ object Tables {
 
   private val skip = Cell("np", None)
 
+  /** Seconds a baseline cell may run: `REPRO_BENCH_BUDGET`, default 240. */
+  private val budget: Int = sys.env.get("REPRO_BENCH_BUDGET").map(_.toInt).getOrElse(240)
+
+  /** FSM thresholds: MI-lite's and labeled PA-lite's sweeps (Tables 3/4),
+    * and Fig 10's MI-lite threshold.
+    */
+  private val fsmTausMi = Seq(60L, 80L, 100L)
+  private val fsmTausPa = Seq(400L, 500L, 600L)
+  private val fig10Tau = 60L
+
+  /** `f` as job group `label`, under `scale` × the budget. */
+  private def cell(spark: SparkSession, label: String, scale: Int = 1)(f: => String): Cell =
+    Harness.budgeted(spark, label, budget * scale)(f)
+
   // PRG cells repeat across Tables 3/4 and Fig 10 (as in the paper, which
   // prints the same PRG column in several tables) — measure each once.
   private val prgMemo = collection.concurrent.TrieMap.empty[String, Cell]
 
   // PRG gets 3× the per-cell budget: unlike baseline timeouts (which mirror
   // the paper's ×), a PRG timeout only reflects the harness schedule.
-  private def prgCell(spark: SparkSession, budget: Int, label: String)(f: => String): Cell =
-    prgMemo.getOrElseUpdate(label, Harness.budgeted(spark, label, budget * 3)(f))
+  private def prgCell(spark: SparkSession, label: String)(f: => String): Cell =
+    prgMemo.getOrElseUpdate(label, cell(spark, label, 3)(f))
 
-  private def fmtRows(header: Seq[String], rows: Seq[Row]): Seq[Seq[String]] =
-    rows.map { case (app, g, cells) =>
-      Seq(app, g) ++ cells.flatMap { case (_, c) => Seq(c.timeStr, c.value) }
-    }
+  /** A row of PRG's cell `prg-<key>-<g>`, then one cell per baseline:
+    * `system -> Some(f)` runs `f` as `<system>-<key>-<g>` under `scale` ×
+    * the budget, `system -> None` reads 'np'.
+    */
+  private def vsRow(spark: SparkSession, app: String, key: String, g: String, prg: => String, scale: Int = 1)(
+      baselines: (String, Option[() => String])*): Row = {
+    val prgC = prgCell(spark, s"prg-$key-$g")(prg)
+    (app, g, ("PRG" -> prgC) +: baselines.map { case (system, f) =>
+      system -> f.fold(skip)(run => cell(spark, s"${system.toLowerCase}-$key-$g", scale)(run()))
+    })
+  }
 
   private def header(systems: Seq[String]): Seq[String] =
     Seq("App", "G") ++ systems.flatMap(s => Seq(s"$s time(s)", s"$s value"))
 
   def renderTable(title: String, systems: Seq[String], rows: Seq[Row]): String =
-    Harness.render(title, header(systems), fmtRows(header(systems), rows))
+    Harness.render(title, header(systems), rows.map { case (app, g, cells) =>
+      Seq(app, g) ++ cells.flatMap { case (_, c) => Seq(c.timeStr, c.value) }
+    })
+
+  // -------------------------------------------------------------- checks
+
+  /** What is wrong with the rows of `table` (a `Main` table name), one
+    * line per failure:
+    *   - a row's completed numeric cells disagree;
+    *   - a PRG cell failed ('-');
+    *   - table2: not five dataset rows, or a row without `|V|=`;
+    *   - table6: the planted 6-clique is not found, or a 14-clique is
+    *     found on PA;
+    *   - fig1: a PRG profile counts canonicality or isomorphism checks;
+    *   - fig10: PRG-U took less than half PRG's time.
+    */
+  def check(table: String, rows: Seq[Row]): Seq[String] = {
+    val disagree = rows.collect {
+      case (app, g, cells) if cells.collect {
+            case (_, Cell(v, Some(_))) if v.forall(_.isDigit) => v
+          }.distinct.size > 1 =>
+        s"systems disagree on $app/$g: ${cells.map { case (s, c) => s"$s=${c.value}" }.mkString(" ")}"
+    }
+    val prgFailed = for ((app, g, cells) <- rows; (s, c) <- cells if s == "PRG" && c.value == "-")
+      yield s"PRG errored on $app/$g"
+    def first(app: String, g: String): Option[String] =
+      rows.collectFirst { case (`app`, `g`, (_, c) +: _) => c.value }
+    val own = table match {
+      case "table2" =>
+        Option.when(rows.size != 5)(s"expected 5 dataset rows, got ${rows.size}").toSeq ++
+          rows.collect { case (app, g, cells) if !cells.headOption.exists(_._2.value.contains("|V|=")) =>
+            s"no |V|= in $app/$g"
+          }
+      case "table6" =>
+        Seq(("Exist 6-Clique", "OK+K6", "true"), ("Exist 14-Clique", "PA", "false")).collect {
+          case (app, g, want) if !first(app, g).contains(want) =>
+            s"$app/$g reads ${first(app, g).getOrElse("nothing")}, expected $want"
+        }
+      case "fig1" =>
+        for ((app, g, cells) <- rows; (s, c) <- cells if s == "PRG" && !c.value.contains("canon=0 iso=0"))
+          yield s"PRG counted canonicality or isomorphism checks on $app/$g: ${c.value}"
+      case "fig10" =>
+        for {
+          (app, g, cells) <- rows
+          prg <- cells.toMap.get("PRG").flatMap(_.seconds)
+          prgu <- cells.toMap.get("PRG-U").flatMap(_.seconds) if prgu < prg * 0.5
+        } yield f"PRG-U unexpectedly much faster on $app/$g: $prgu%.2f s against PRG's $prg%.2f s"
+      case _ => Nil
+    }
+    disagree ++ prgFailed ++ own
+  }
 
   // -------------------------------------------------------------- builds
 
@@ -90,256 +161,162 @@ object Tables {
     (renderTable("Table 2: datasets (lite substitutions)", Seq("PRG"), rows), rows)
   }
 
-  // -------------------------------------------------------------- helpers
-
-  private def prgMotifs(g: DataGraph, size: Int): String =
-    MotifCount.total(g, size).toString
-
-  private def prgClique(g: DataGraph, k: Int): String =
-    CliqueCount.count(g, k).toString
+  // -------------------------------------------------------------- Tables 3/4
 
   private def prgFsm(spark: SparkSession, g: DataGraph, tau: Long): String = {
     val r = Fsm.run(spark, g, maxEdges = 3, threshold = tau)
     s"${r.totalPatterns}f"
   }
 
+  /** A pattern-unaware baseline of Tables 3 and 4: its motif total, clique
+    * count and number of frequent 3-edge patterns; `fsm` is None where the
+    * paper could not run FSM on the system.
+    */
+  private final case class Baseline(system: String, motifs: (DataGraph, Int) => Long,
+                                    cliques: (DataGraph, Int) => Long, fsm: Option[(DataGraph, Long) => Int])
+
+  /** Motif, clique and FSM rows of PRG against `baselines`. Each row runs
+    * the baselines it is given; the others read 'np'.
+    */
+  private final class Versus(spark: SparkSession, baselines: Baseline*) {
+    val systems: Seq[String] = "PRG" +: baselines.map(_.system)
+
+    private def row(app: String, key: String, name: String, prg: => String, scale: Int = 1)(
+        run: Baseline => Option[() => String]): Row =
+      vsRow(spark, app, key, name, prg, scale)(baselines.map(b => b.system -> run(b)): _*)
+
+    def motifs(g: DataGraph, name: String, size: Int, on: Baseline*): Row =
+      row(s"$size-Motifs", s"m$size", name, MotifCount.total(g, size).toString)(
+        b => Option.when(on.contains(b))(() => b.motifs(g, size).toString))
+
+    def cliques(g: DataGraph, name: String, k: Int, on: Baseline*): Row =
+      row(s"$k-Cliques", s"c$k", name, CliqueCount.count(g, k).toString)(
+        b => Option.when(on.contains(b))(() => b.cliques(g, k).toString))
+
+    // FSM runs many match rounds; its baseline cells get 3× the budget.
+    def fsm(g: DataGraph, name: String, tau: Long, on: Baseline*): Row =
+      row(s"FSM tau=$tau", s"fsm$tau", name, prgFsm(spark, g, tau), scale = 3)(
+        b => b.fsm.filter(_ => on.contains(b)).map(f => () => s"${f(g, tau)}f3"))
+  }
+
   // -------------------------------------------------------------- Table 3
 
   /** PRG vs breadth-first systems (Arabesque / RStream proxies). */
-  def table3(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget,
-             fsmTauMi: Seq[Long] = Seq(60, 80, 100), fsmTauPa: Seq[Long] = Seq(400, 500, 600)
-  ): (String, Seq[Row]) = afterBuilds(d, "MI", "PA", "PA-L", "OK", "FR") {
-    val systems = Seq("PRG", "ABQ", "RS")
-    def cell(label: String)(f: => String): Cell = Harness.budgeted(spark, label, budget)(f)
-
-    def motifRow(g: DataGraph, name: String, size: Int, runBfs: Boolean, runRs: Boolean): Row =
-      (s"$size-Motifs", name, Seq(
-        "PRG" -> prgCell(spark, budget, s"prg-m$size-$name")(prgMotifs(g, size)),
-        "ABQ" -> (if (runBfs) cell(s"abq-m$size-$name") {
-          BfsEnumerator.motifCounts(spark, g, size, rstream = false)._1.values.sum.toString
-        } else skip),
-        "RS" -> (if (runRs) cell(s"rs-m$size-$name") {
-          BfsEnumerator.motifCounts(spark, g, size, rstream = true)._1.values.sum.toString
-        } else skip)
-      ))
-
-    def cliqueRow(g: DataGraph, name: String, k: Int, runBfs: Boolean): Row =
-      (s"$k-Cliques", name, Seq(
-        "PRG" -> prgCell(spark, budget, s"prg-c$k-$name")(prgClique(g, k)),
-        "ABQ" -> (if (runBfs) cell(s"abq-c$k-$name") {
-          BfsEnumerator.cliqueCount(spark, g, k, rstream = false)._1.toString
-        } else skip),
-        "RS" -> (if (runBfs) cell(s"rs-c$k-$name") {
-          BfsEnumerator.cliqueCount(spark, g, k, rstream = true)._1.toString
-        } else skip)
-      ))
-
-    // FSM runs many match() rounds; give its cells a larger budget.
-    def fsmCell(label: String)(f: => String): Cell = Harness.budgeted(spark, label, budget * 3)(f)
-    def fsmRow(g: DataGraph, name: String, tau: Long, runBfs: Boolean): Row =
-      (s"FSM tau=$tau", name, Seq(
-        "PRG" -> prgCell(spark, budget, s"prg-fsm$tau-$name")(prgFsm(spark, g, tau)),
-        "ABQ" -> (if (runBfs) fsmCell(s"abq-fsm$tau-$name") {
-          val (sup, _) = BfsEnumerator.fsmSupports(spark, g, 3, Some(tau))
-          s"${sup.count(_._2 >= tau)}f3"
-        } else skip),
-        "RS" -> skip // paper: RStream OOMs on MI FSM; PA FSM modeled by the same BFS proxy
-      ))
+  def table3(spark: SparkSession, d: LiteData): (String, Seq[Row]) = afterBuilds(d, "MI", "PA", "PA-L", "OK", "FR") {
+    def bfs(system: String, rstream: Boolean, fsm: Boolean) = Baseline(system,
+      (g, size) => BfsEnumerator.motifCounts(spark, g, size, rstream)._1.values.sum,
+      (g, k) => BfsEnumerator.cliqueCount(spark, g, k, rstream)._1,
+      Option.when(fsm)((g, tau) => BfsEnumerator.fsmSupports(spark, g, 3, Some(tau))._1.count(_._2 >= tau)))
+    val abq = bfs("ABQ", rstream = false, fsm = true)
+    // paper: RStream OOMs on MI FSM; PA FSM modeled by the same BFS proxy
+    val rs = bfs("RS", rstream = true, fsm = false)
+    val vs = new Versus(spark, abq, rs)
 
     val rows =
       Seq(
-        motifRow(d.mi, "MI", 3, runBfs = true, runRs = true),
-        motifRow(d.pa, "PA", 3, runBfs = true, runRs = true),
-        motifRow(d.ok, "OK", 3, runBfs = false, runRs = false),
-        motifRow(d.fr, "FR", 3, runBfs = false, runRs = false),
-        motifRow(d.mi, "MI", 4, runBfs = true, runRs = false),
-        motifRow(d.pa, "PA", 4, runBfs = true, runRs = false),
-        motifRow(d.ok, "OK", 4, runBfs = false, runRs = false)
+        vs.motifs(d.mi, "MI", 3, abq, rs),
+        vs.motifs(d.pa, "PA", 3, abq, rs),
+        vs.motifs(d.ok, "OK", 3),
+        vs.motifs(d.fr, "FR", 3),
+        vs.motifs(d.mi, "MI", 4, abq),
+        vs.motifs(d.pa, "PA", 4, abq),
+        vs.motifs(d.ok, "OK", 4)
       ) ++
-        fsmTauMi.map(tau => fsmRow(d.mi, "MI", tau, runBfs = true)) ++
-        fsmTauPa.map(tau => fsmRow(d.paL, "PA", tau, runBfs = false)) ++
-        Seq(
-          cliqueRow(d.mi, "MI", 3, runBfs = true),
-          cliqueRow(d.pa, "PA", 3, runBfs = true),
-          cliqueRow(d.ok, "OK", 3, runBfs = false),
-          cliqueRow(d.fr, "FR", 3, runBfs = false),
-          cliqueRow(d.mi, "MI", 4, runBfs = true),
-          cliqueRow(d.pa, "PA", 4, runBfs = true),
-          cliqueRow(d.ok, "OK", 4, runBfs = false),
-          cliqueRow(d.fr, "FR", 4, runBfs = false),
-          cliqueRow(d.mi, "MI", 5, runBfs = true),
-          cliqueRow(d.pa, "PA", 5, runBfs = true),
-          cliqueRow(d.ok, "OK", 5, runBfs = false),
-          cliqueRow(d.fr, "FR", 5, runBfs = false)
-        )
-    (renderTable("Table 3: PRG vs breadth-first (ABQ=Arabesque, RS=RStream proxies)", systems, rows), rows)
+        fsmTausMi.map(vs.fsm(d.mi, "MI", _, abq)) ++
+        fsmTausPa.map(vs.fsm(d.paL, "PA", _)) ++
+        (3 to 5).flatMap(k => Seq(
+          vs.cliques(d.mi, "MI", k, abq, rs),
+          vs.cliques(d.pa, "PA", k, abq, rs),
+          vs.cliques(d.ok, "OK", k),
+          vs.cliques(d.fr, "FR", k)
+        ))
+    (renderTable("Table 3: PRG vs breadth-first (ABQ=Arabesque, RS=RStream proxies)", vs.systems, rows), rows)
   }
 
   // -------------------------------------------------------------- Table 4
 
   /** PRG vs depth-first (Fractal proxy). */
-  def table4(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget,
-             fsmTauMi: Seq[Long] = Seq(60, 80, 100)): (String, Seq[Row]) = afterBuilds(d, "MI", "PA", "PA-L") {
-    val systems = Seq("PRG", "FCL")
-    def cell(label: String)(f: => String): Cell = Harness.budgeted(spark, label, budget)(f)
+  def table4(spark: SparkSession, d: LiteData): (String, Seq[Row]) = afterBuilds(d, "MI", "PA", "PA-L") {
+    val fcl = Baseline("FCL",
+      (g, size) => DfsEnumerator.motifCounts(spark, g, size)._1.values.sum,
+      (g, k) => DfsEnumerator.cliqueCount(spark, g, k)._1,
+      Some((g, tau) => DfsEnumerator.fsmSupports(spark, g, 3)._1.count(_._2 >= tau)))
+    val vs = new Versus(spark, fcl)
 
-    def motifRow(g: DataGraph, name: String, size: Int, runDfs: Boolean): Row =
-      (s"$size-Motifs", name, Seq(
-        "PRG" -> prgCell(spark, budget, s"prg-m$size-$name")(prgMotifs(g, size)),
-        "FCL" -> (if (runDfs) cell(s"fcl-m$size-$name") {
-          DfsEnumerator.motifCounts(spark, g, size)._1.values.sum.toString
-        } else skip)
-      ))
+    def matchRow(name: String, g: DataGraph)(pname: String, p: Pattern): Row =
+      vsRow(spark, s"Match $pname", pname, name, MatchEngine.countMatches(g, p).toString)(
+        "FCL" -> Some(() => DfsEnumerator.countPattern(spark, g, p)._1.toString))
 
-    def cliqueRow(g: DataGraph, name: String, k: Int, runDfs: Boolean): Row =
-      (s"$k-Cliques", name, Seq(
-        "PRG" -> prgCell(spark, budget, s"prg-c$k-$name")(prgClique(g, k)),
-        "FCL" -> (if (runDfs) cell(s"fcl-c$k-$name") {
-          DfsEnumerator.cliqueCount(spark, g, k)._1.toString
-        } else skip)
-      ))
-
-    def fsmCell(label: String)(f: => String): Cell = Harness.budgeted(spark, label, budget * 3)(f)
-    def fsmRow(g: DataGraph, name: String, tau: Long): Row =
-      (s"FSM tau=$tau", name, Seq(
-        "PRG" -> prgCell(spark, budget, s"prg-fsm$tau-$name")(prgFsm(spark, g, tau)),
-        "FCL" -> fsmCell(s"fcl-fsm$tau-$name") {
-          val (sup, _) = DfsEnumerator.fsmSupports(spark, g, 3)
-          s"${sup.count(_._2 >= tau)}f3"
-        }
-      ))
-
-    def matchRow(pname: String, gs: Seq[(String, DataGraph, Boolean)]): Seq[Row] = {
-      val p = EvalPatterns.numbered.find(_._1 == pname).get._2
-      gs.map { case (gname, g, runDfs) =>
-        (s"Match $pname", gname, Seq(
-          "PRG" -> prgCell(spark, budget, s"prg-$pname-$gname")(MatchEngine.countMatches(g, p).toString),
-          "FCL" -> (if (runDfs) cell(s"fcl-$pname-$gname") {
-            DfsEnumerator.countPattern(spark, g, p)._1.toString
-          } else skip)
-        ))
-      }
-    }
-
-    val plainGraphs = Seq(("MI", d.mi, true), ("PA", d.pa, true))
     val rows =
-      Seq(
-        motifRow(d.mi, "MI", 3, runDfs = true),
-        motifRow(d.pa, "PA", 3, runDfs = true),
-        motifRow(d.mi, "MI", 4, runDfs = true),
-        motifRow(d.pa, "PA", 4, runDfs = true)
-      ) ++
-        fsmTauMi.map(tau => fsmRow(d.mi, "MI", tau)) ++
-        Seq(
-          cliqueRow(d.mi, "MI", 3, runDfs = true),
-          cliqueRow(d.pa, "PA", 3, runDfs = true),
-          cliqueRow(d.mi, "MI", 4, runDfs = true),
-          cliqueRow(d.pa, "PA", 4, runDfs = true),
-          cliqueRow(d.mi, "MI", 5, runDfs = true),
-          cliqueRow(d.pa, "PA", 5, runDfs = true)
-        ) ++
-        matchRow("p1", plainGraphs) ++
-        Seq(
-          ("Match p2", "MI", Seq(
-            "PRG" -> prgCell(spark, budget, "prg-p2-MI")(MatchEngine.countMatches(d.mi, EvalPatterns.p2).toString),
-            "FCL" -> cell("fcl-p2-MI")(DfsEnumerator.countPattern(spark, d.mi, EvalPatterns.p2)._1.toString)
-          )),
-          ("Match p2", "PA", Seq(
-            "PRG" -> prgCell(spark, budget, "prg-p2-PA")(MatchEngine.countMatches(d.paL, EvalPatterns.p2).toString),
-            "FCL" -> cell("fcl-p2-PA")(DfsEnumerator.countPattern(spark, d.paL, EvalPatterns.p2)._1.toString)
-          ))
-        ) ++
-        matchRow("p3", plainGraphs) ++
-        matchRow("p4", plainGraphs) ++
-        matchRow("p5", plainGraphs) ++
-        matchRow("p6", plainGraphs)
-    (renderTable("Table 4: PRG vs depth-first (FCL=Fractal proxy)", systems, rows), rows)
+      Seq(3, 4).flatMap(size => Seq(vs.motifs(d.mi, "MI", size, fcl), vs.motifs(d.pa, "PA", size, fcl))) ++
+        fsmTausMi.map(vs.fsm(d.mi, "MI", _, fcl)) ++
+        (3 to 5).flatMap(k => Seq(vs.cliques(d.mi, "MI", k, fcl), vs.cliques(d.pa, "PA", k, fcl))) ++
+        EvalPatterns.numbered.flatMap { case (pname, p) =>
+          // p2 is labeled: on PA it runs on labeled PA-lite.
+          Seq(matchRow("MI", d.mi)(pname, p), matchRow("PA", if (pname == "p2") d.paL else d.pa)(pname, p))
+        }
+    (renderTable("Table 4: PRG vs depth-first (FCL=Fractal proxy)", vs.systems, rows), rows)
   }
 
   // -------------------------------------------------------------- Table 5
 
   /** PRG vs task-oriented purpose-built (G-Miner proxy). */
-  def table5(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget): (String, Seq[Row]) =
+  def table5(spark: SparkSession, d: LiteData): (String, Seq[Row]) =
     afterBuilds(d, "MI", "PA", "PA-L", "OK", "FR", "OK-L6", "FR-L6") {
-    val systems = Seq("PRG", "GM")
-    def cell(label: String)(f: => String): Cell = Harness.budgeted(spark, label, budget)(f)
-
     val cliqueGraphs = Seq(("MI", d.mi), ("PA", d.pa), ("OK", d.ok), ("FR", d.fr))
     val p2Graphs = Seq(("MI", d.mi), ("PA", d.paL), ("OK", d.okL), ("FR", d.frL))
 
     val rows =
       cliqueGraphs.map { case (name, g) =>
-        ("3-Cliques", name, Seq(
-          "PRG" -> prgCell(spark, budget, s"prg-c3-$name")(prgClique(g, 3)),
-          "GM" -> cell(s"gm-c3-$name")(GMinerStyle.triangleCount(spark, g).toString)
-        ))
+        vsRow(spark, "3-Cliques", "c3", name, CliqueCount.count(g, 3).toString)(
+          "GM" -> Some(() => GMinerStyle.triangleCount(spark, g).toString))
       } ++
         p2Graphs.map { case (name, g) =>
-          ("Match p2", name, Seq(
-            "PRG" -> prgCell(spark, budget, s"prg-p2-$name")(MatchEngine.countMatches(g, EvalPatterns.p2).toString),
-            "GM" -> cell(s"gm-p2-$name")(GMinerStyle.countP2(spark, g, 0, 1, 2, 3).toString)
-          ))
+          vsRow(spark, "Match p2", "p2", name, MatchEngine.countMatches(g, EvalPatterns.p2).toString)(
+            "GM" -> Some(() => GMinerStyle.countP2(spark, g, 0, 1, 2, 3).toString))
         }
-    (renderTable("Table 5: PRG vs task-oriented (GM=G-Miner proxy)", systems, rows), rows)
+    (renderTable("Table 5: PRG vs task-oriented (GM=G-Miner proxy)", Seq("PRG", "GM"), rows), rows)
   }
 
   // -------------------------------------------------------------- Table 6
 
   /** Constraint mining: anti-vertex p7, anti-edge p8, clique existence. */
-  def table6(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget): (String, Seq[Row]) =
+  def table6(spark: SparkSession, d: LiteData): (String, Seq[Row]) =
     afterBuilds(d, "MI", "PA", "OK", "FR", "OK+K6") {
-    val systems = Seq("PRG")
-    def cell(label: String)(f: => String): Cell = Harness.budgeted(spark, label, budget)(f)
+    def prg(app: String, g: String, label: String)(f: => String): Row =
+      (app, g, Seq("PRG" -> cell(spark, label)(f)))
     val graphs = Seq(("MI", d.mi), ("PA", d.pa), ("OK", d.ok), ("FR", d.fr))
 
     val rows =
       graphs.map { case (name, g) =>
-        ("Anti-Vertex p7", name,
-          Seq("PRG" -> cell(s"p7-$name")(MatchEngine.countMatches(g, EvalPatterns.p7).toString)))
+        prg("Anti-Vertex p7", name, s"p7-$name")(MatchEngine.countMatches(g, EvalPatterns.p7).toString)
       } ++
         graphs.map { case (name, g) =>
-          ("Anti-Edge p8", name,
-            Seq("PRG" -> cell(s"p8-$name")(MatchEngine.countMatches(g, EvalPatterns.p8).toString)))
+          prg("Anti-Edge p8", name, s"p8-$name")(MatchEngine.countMatches(g, EvalPatterns.p8).toString)
         } ++
         graphs.map { case (name, g) =>
-          ("Exist 14-Clique", name,
-            Seq("PRG" -> cell(s"e14-$name")(Existence.exists(g, Patterns.generateClique(14)).toString)))
+          prg("Exist 14-Clique", name, s"e14-$name")(Existence.exists(g, Patterns.generateClique(14)).toString)
         } ++
         Seq(
-          ("Exist 6-Clique", "OK+K6",
-            Seq("PRG" -> cell("e6-okc")(Existence.exists(d.okClique, Patterns.generateClique(6)).toString))),
-          ("CC > 0.1", "MI",
-            Seq("PRG" -> cell("cc-MI")(ClusteringCoeff.exceedsBound(d.mi, 0.1).toString)))
+          prg("Exist 6-Clique", "OK+K6", "e6-okc")(Existence.exists(d.okClique, Patterns.generateClique(6)).toString),
+          prg("CC > 0.1", "MI", "cc-MI")(ClusteringCoeff.exceedsBound(d.mi, 0.1).toString)
         )
-    (renderTable("Table 6: mining with constraints + existence queries", systems, rows), rows)
+    (renderTable("Table 6: mining with constraints + existence queries", Seq("PRG"), rows), rows)
   }
 
   // -------------------------------------------------------------- Fig 10
 
   /** Symmetry breaking on/off (PRG vs PRG-U), backing Table 1's PRG-U column. */
-  def fig10(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget,
-            fsmTau: Long = 60): (String, Seq[Row]) = afterBuilds(d, "MI", "PA") {
-    val systems = Seq("PRG", "PRG-U")
-    def cell(label: String)(f: => String): Cell = Harness.budgeted(spark, label, budget)(f)
-
-    val rows = Seq(
-      ("4-Motifs", "MI", Seq(
-        "PRG" -> prgCell(spark, budget, "prg-m4-MI")(MotifCount.total(d.mi, 4).toString),
-        "PRG-U" -> cell("prgu-m4-MI")(MotifCount.total(d.mi, 4, symmetry = false).toString)
-      )),
-      ("4-Motifs", "PA", Seq(
-        "PRG" -> prgCell(spark, budget, "prg-m4-PA")(MotifCount.total(d.pa, 4).toString),
-        "PRG-U" -> cell("prgu-m4-PA")(MotifCount.total(d.pa, 4, symmetry = false).toString)
-      )),
-      (s"FSM tau=$fsmTau", "MI", Seq(
-        "PRG" -> prgCell(spark, budget, s"prg-fsm$fsmTau-MI")(prgFsm(spark, d.mi, fsmTau)),
-        "PRG-U" -> Harness.budgeted(spark, "prgu-fsm-MI", budget * 3) {
-          val r = Fsm.run(spark, d.mi, maxEdges = 3, threshold = fsmTau, symmetry = false)
-          s"${r.totalPatterns}f"
-        }
-      ))
-    )
-    (renderTable("Fig 10: benefit of symmetry breaking (PRG vs PRG-U)", systems, rows), rows)
+  def fig10(spark: SparkSession, d: LiteData): (String, Seq[Row]) = afterBuilds(d, "MI", "PA") {
+    val rows =
+      Seq(("MI", d.mi), ("PA", d.pa)).map { case (name, g) =>
+        vsRow(spark, "4-Motifs", "m4", name, MotifCount.total(g, 4).toString)(
+          "PRG-U" -> Some(() => MotifCount.total(g, 4, symmetry = false).toString))
+      } :+
+        vsRow(spark, s"FSM tau=$fig10Tau", s"fsm$fig10Tau", "MI", prgFsm(spark, d.mi, fig10Tau), scale = 3)(
+          "PRG-U" -> Some(() =>
+            s"${Fsm.run(spark, d.mi, maxEdges = 3, threshold = fig10Tau, symmetry = false).totalPatterns}f"))
+    (renderTable("Fig 10: benefit of symmetry breaking (PRG vs PRG-U)", Seq("PRG", "PRG-U"), rows), rows)
   }
 
   // -------------------------------------------------------------- Fig 1
@@ -347,8 +324,7 @@ object Tables {
   /** Fig 1b/1c-style profiles: matches explored / canonicality / isomorphism
     * computations vs result size, on the PA-lite graph.
     */
-  def fig1(spark: SparkSession, d: LiteData, budget: Int = Harness.defaultBudget): (String, Seq[Row]) = afterBuilds(d, "PA") {
-    def cell(label: String)(f: => String): Cell = Harness.budgeted(spark, label, budget)(f)
+  def fig1(spark: SparkSession, d: LiteData): (String, Seq[Row]) = afterBuilds(d, "PA") {
     def fmt(explored: Long, canon: Long, iso: Long, result: Long): String =
       s"explored=$explored (${if (result == 0) "-" else f"${explored.toDouble / result}%.1fx"}) canon=$canon iso=$iso"
 
@@ -359,36 +335,23 @@ object Tables {
       val rs = ps.map(p => PlanExecutor.run(g, Planner.plan(p)))
       Cell(fmt(rs.map(_.accepted.sum).sum, 0, 0, rs.map(_.count).sum), None)
     }
+    def baseline(label: String)(run: => (Long, Profile)): Cell = cell(spark, label) {
+      val (n, p) = run
+      fmt(p.explored, p.canonicality, p.isomorphism, n)
+    }
+    def motifs(r: (Map[String, Long], Profile)): (Long, Profile) = (r._1.values.sum, r._2)
     val rows = Seq(
       ("4-Clique profile", "PA", Seq(
         "PRG" -> prg(Seq(Patterns.generateClique(4))),
-        "RS" -> cell("rs-prof-c4") {
-          val (n, p) = BfsEnumerator.cliqueCount(spark, g, 4, rstream = true)
-          fmt(p.explored, p.canonicality, p.isomorphism, n)
-        },
-        "ABQ" -> cell("abq-prof-c4") {
-          val (n, p) = BfsEnumerator.cliqueCount(spark, g, 4, rstream = false)
-          fmt(p.explored, p.canonicality, p.isomorphism, n)
-        },
-        "FCL" -> cell("fcl-prof-c4") {
-          val (n, p) = DfsEnumerator.cliqueCount(spark, g, 4)
-          fmt(p.explored, p.canonicality, p.isomorphism, n)
-        }
+        "RS" -> baseline("rs-prof-c4")(BfsEnumerator.cliqueCount(spark, g, 4, rstream = true)),
+        "ABQ" -> baseline("abq-prof-c4")(BfsEnumerator.cliqueCount(spark, g, 4, rstream = false)),
+        "FCL" -> baseline("fcl-prof-c4")(DfsEnumerator.cliqueCount(spark, g, 4))
       )),
       ("3-Motif profile", "PA", Seq(
         "PRG" -> prg(Patterns.generateAllVertexInduced(3).map(VertexInduced.toEdgeInduced)),
-        "RS" -> cell("rs-prof-m3") {
-          val (c, p) = BfsEnumerator.motifCounts(spark, g, 3, rstream = true)
-          fmt(p.explored, p.canonicality, p.isomorphism, c.values.sum)
-        },
-        "ABQ" -> cell("abq-prof-m3") {
-          val (c, p) = BfsEnumerator.motifCounts(spark, g, 3, rstream = false)
-          fmt(p.explored, p.canonicality, p.isomorphism, c.values.sum)
-        },
-        "FCL" -> cell("fcl-prof-m3") {
-          val (c, p) = DfsEnumerator.motifCounts(spark, g, 3)
-          fmt(p.explored, p.canonicality, p.isomorphism, c.values.sum)
-        }
+        "RS" -> baseline("rs-prof-m3")(motifs(BfsEnumerator.motifCounts(spark, g, 3, rstream = true))),
+        "ABQ" -> baseline("abq-prof-m3")(motifs(BfsEnumerator.motifCounts(spark, g, 3, rstream = false))),
+        "FCL" -> baseline("fcl-prof-m3")(motifs(DfsEnumerator.motifCounts(spark, g, 3)))
       ))
     )
     (renderTable("Fig 1: profiling (explored/canonicality/isomorphism vs result)",

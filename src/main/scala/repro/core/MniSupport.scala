@@ -25,7 +25,7 @@ object MniSupport {
 
   /** MNI support of `p` in `g`; `p` is fully labeled, or `g` unlabeled. */
   def support(g: DataGraph, p: Pattern): Long = {
-    require(p.fullyLabeled || g.labels.isEmpty, "support of a pattern with wildcards needs an unlabeled graph")
+    require(p.fullyLabeled || !g.labeled, "support of a pattern with wildcards needs an unlabeled graph")
     // Every match carries the same label sequence: at most one entry.
     PlanExecutor.domains(g, Planner.plan(p)).values.headOption.map(smallestDomain(p, _)).getOrElse(0L)
   }

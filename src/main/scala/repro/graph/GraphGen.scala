@@ -21,8 +21,8 @@ import repro.SynthData
   */
 object GraphGen {
 
-  /** A named dataset, mirroring one Table 2 row. */
-  final case class Lite(name: String, graph: DataGraph, nLabels: Option[Int])
+  /** A lite graph and its label count, mirroring one Table 2 row. */
+  final case class Lite(graph: DataGraph, nLabels: Option[Int])
 
   def scaleFromEnv: Double = sys.env.get("REPRO_GRAPH_SCALE").map(_.toDouble).getOrElse(1.0)
 
@@ -30,13 +30,13 @@ object GraphGen {
     val nV = 2000L
     val edges = SynthData.graphEdgesZipf(spark, nV, (24000 * scale).toLong, skew = 1.6, seed = 11)
     val labels = SynthData.vertexLabelsSkewed(spark, nV, nLabels = 29, skew = 2.0, seed = 12)
-    Lite("MI", DataGraph.fromEdges(spark, edges, Some(labels)), Some(29))
+    Lite(DataGraph.fromEdges(spark, edges, Some(labels)), Some(29))
   }
 
   def paLite(spark: SparkSession, scale: Double = 1.0): Lite = {
     val nV = 30000L
     val edges = SynthData.graphEdgesUniform(spark, nV, (130000 * scale).toLong, seed = 21)
-    Lite("PA", DataGraph.fromEdges(spark, edges, None), None)
+    Lite(DataGraph.fromEdges(spark, edges, None), None)
   }
 
   /** Labeled Patents stand-in (paper: smaller than the unlabeled version, 37 labels). */
@@ -44,19 +44,19 @@ object GraphGen {
     val nV = 22000L
     val edges = SynthData.graphEdgesUniform(spark, nV, (100000 * scale).toLong, seed = 22)
     val labels = SynthData.vertexLabelsSkewed(spark, nV, nLabels = 37, skew = 2.0, seed = 23)
-    Lite("PA-L", DataGraph.fromEdges(spark, edges, Some(labels)), Some(37))
+    Lite(DataGraph.fromEdges(spark, edges, Some(labels)), Some(37))
   }
 
   def okLite(spark: SparkSession, scale: Double = 1.0): Lite = {
     val nV = 2500L
     val edges = SynthData.graphEdgesZipf(spark, nV, (35000 * scale).toLong, skew = 1.4, seed = 31)
-    Lite("OK", DataGraph.fromEdges(spark, edges, None), None)
+    Lite(DataGraph.fromEdges(spark, edges, None), None)
   }
 
   def frLite(spark: SparkSession, scale: Double = 1.0): Lite = {
     val nV = 60000L
     val edges = SynthData.graphEdgesZipf(spark, nV, (450000 * scale).toLong, skew = 1.25, seed = 41)
-    Lite("FR", DataGraph.fromEdges(spark, edges, None), None)
+    Lite(DataGraph.fromEdges(spark, edges, None), None)
   }
 
   /** OK-lite with synthetic labels 0-5 — the paper adds uniform labels 1-6
@@ -66,7 +66,7 @@ object GraphGen {
     val nV = 2500L
     val edges = SynthData.graphEdgesZipf(spark, nV, (35000 * scale).toLong, skew = 1.4, seed = 31)
     val labels = SynthData.vertexLabels(spark, nV, nLabels = 6, seed = 32)
-    Lite("OK", DataGraph.fromEdges(spark, edges, Some(labels)), Some(6))
+    Lite(DataGraph.fromEdges(spark, edges, Some(labels)), Some(6))
   }
 
   /** FR-lite with synthetic labels 0-5 (see okLiteLabeled6). */
@@ -74,7 +74,7 @@ object GraphGen {
     val nV = 60000L
     val edges = SynthData.graphEdgesZipf(spark, nV, (450000 * scale).toLong, skew = 1.25, seed = 41)
     val labels = SynthData.vertexLabels(spark, nV, nLabels = 6, seed = 42)
-    Lite("FR", DataGraph.fromEdges(spark, edges, Some(labels)), Some(6))
+    Lite(DataGraph.fromEdges(spark, edges, Some(labels)), Some(6))
   }
 
   /** OK-lite with a planted clique, for "found quickly" existence queries. */
@@ -82,6 +82,6 @@ object GraphGen {
     val nV = 2500L
     val base = SynthData.graphEdgesZipf(spark, nV, (35000 * scale).toLong, skew = 1.4, seed = 31)
     val clique = SynthData.plantedClique(spark, (100L until (100L + k)))
-    Lite(s"OK+K$k", DataGraph.fromEdges(spark, base.union(clique), None), None)
+    Lite(DataGraph.fromEdges(spark, base.union(clique), None), None)
   }
 }

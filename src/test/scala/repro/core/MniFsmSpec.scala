@@ -183,6 +183,17 @@ class MniFsmSpec extends SparkSpec {
     }
   }
 
+  test("FSM reports each labeled pattern once per level") {
+    for (symmetry <- Seq(true, false)) {
+      val result = Fsm.run(spark, g, maxEdges = 3, threshold = 3, symmetry = symmetry)
+      for (e <- 1 to 3) {
+        val keys = result.atSize(e).map(p => CanonicalForm.key(p._1))
+        assert(keys.nonEmpty, s"no frequent $e-edge pattern (symmetry=$symmetry)")
+        assert(keys.distinct.size == keys.size, s"a $e-edge pattern is repeated (symmetry=$symmetry)")
+      }
+    }
+  }
+
   test("FSM requires a labeled graph") {
     val unlabeled = TestGraphs.dataGraph(spark, edges)
     assertThrows[IllegalArgumentException](Fsm.run(spark, unlabeled, 2, 1))
