@@ -47,7 +47,7 @@ object BfsEnumerator {
 
     var df = g.vertices.select(array(col("v")) as "vs").cache()
     df.count()
-    for (_ <- 1 until k) {
+    for (step <- 1 until k) {
       val cand = df
         .select(col("vs"), explode(col("vs")) as "anchor")
         .join(g.adj.select(col("src") as "anchor", col("dst") as "w"), "anchor")
@@ -78,7 +78,8 @@ object BfsEnumerator {
             canonical.filter(cliqueUdf(col("vs")))
           } else canonical
         }
-      val nextCached = next.cache()
+      // Arabesque mode's last level is the result: cache it sorted.
+      val nextCached = (if (!rstream && step == k - 1) next.select(array_sort(col("vs")) as "vs") else next).cache()
       nextCached.count()
       df.unpersist()
       cand.unpersist()
@@ -92,7 +93,7 @@ object BfsEnumerator {
         sets.count()
         df.unpersist()
         sets
-      } else df.select(array_sort(col("vs")) as "vs")
+      } else df
     (result, t.toProfile)
   }
 
@@ -178,6 +179,7 @@ object BfsEnumerator {
       .cache()
     df.count()
     var (supports, pruned) = aggregateLevel(df)
+    df.unpersist()
     df = pruned
 
     val extendUdf = udf { (es: Seq[Long], a: Long, w: Long) =>
@@ -204,6 +206,7 @@ object BfsEnumerator {
       next.count()
       df.unpersist(); cand.unpersist()
       val (sup, kept) = aggregateLevel(next)
+      next.unpersist()
       supports = sup
       df = kept
     }

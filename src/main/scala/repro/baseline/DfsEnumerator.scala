@@ -188,7 +188,7 @@ object DfsEnumerator {
       }
       .toDF("key", "vs")
 
-    val supports = KeyedMni.supports(keyed)
+    val supports = try KeyedMni.supports(keyed) finally idxB.destroy()
     (supports, accs.toProfile)
   }
 

@@ -308,6 +308,8 @@ object Tables {
 
   /** Symmetry breaking on/off (PRG vs PRG-U), backing Table 1's PRG-U column. */
   def fig10(spark: SparkSession, d: LiteData): (String, Seq[Row]) = afterBuilds(d, "MI", "PA") {
+    // Untimed, so PRG's cell is not the JVM's first 4-motif count (JIT warm-up).
+    MotifCount.total(d.mi, 4)
     val rows =
       Seq(("MI", d.mi), ("PA", d.pa)).map { case (name, g) =>
         vsRow(spark, "4-Motifs", "m4", name, MotifCount.total(g, 4).toString)(
@@ -325,33 +327,31 @@ object Tables {
     * computations vs result size, on the PA-lite graph.
     */
   def fig1(spark: SparkSession, d: LiteData): (String, Seq[Row]) = afterBuilds(d, "PA") {
-    def fmt(explored: Long, canon: Long, iso: Long, result: Long): String =
-      s"explored=$explored (${if (result == 0) "-" else f"${explored.toDouble / result}%.1fx"}) canon=$canon iso=$iso"
-
     val g = d.pa
     // PRG's explored count: the partial matches its executor accepted at
     // every join-order position, so non-matching prefixes count too.
-    def prg(ps: Seq[Pattern]): Cell = {
+    def prg(ps: Seq[Pattern]): (Long, Profile) = {
       val rs = ps.map(p => PlanExecutor.run(g, Planner.plan(p)))
-      Cell(fmt(rs.map(_.accepted.sum).sum, 0, 0, rs.map(_.count).sum), None)
+      (rs.map(_.count).sum, Profile(rs.map(_.accepted.sum).sum, 0, 0))
     }
-    def baseline(label: String)(run: => (Long, Profile)): Cell = cell(spark, label) {
+    def profile(label: String)(run: => (Long, Profile)): Cell = cell(spark, label) {
       val (n, p) = run
-      fmt(p.explored, p.canonicality, p.isomorphism, n)
+      val ratio = if (n == 0) "-" else f"${p.explored.toDouble / n}%.1fx"
+      s"explored=${p.explored} ($ratio) canon=${p.canonicality} iso=${p.isomorphism}"
     }
     def motifs(r: (Map[String, Long], Profile)): (Long, Profile) = (r._1.values.sum, r._2)
     val rows = Seq(
       ("4-Clique profile", "PA", Seq(
-        "PRG" -> prg(Seq(Patterns.generateClique(4))),
-        "RS" -> baseline("rs-prof-c4")(BfsEnumerator.cliqueCount(spark, g, 4, rstream = true)),
-        "ABQ" -> baseline("abq-prof-c4")(BfsEnumerator.cliqueCount(spark, g, 4, rstream = false)),
-        "FCL" -> baseline("fcl-prof-c4")(DfsEnumerator.cliqueCount(spark, g, 4))
+        "PRG" -> profile("prg-prof-c4")(prg(Seq(Patterns.generateClique(4)))),
+        "RS" -> profile("rs-prof-c4")(BfsEnumerator.cliqueCount(spark, g, 4, rstream = true)),
+        "ABQ" -> profile("abq-prof-c4")(BfsEnumerator.cliqueCount(spark, g, 4, rstream = false)),
+        "FCL" -> profile("fcl-prof-c4")(DfsEnumerator.cliqueCount(spark, g, 4))
       )),
       ("3-Motif profile", "PA", Seq(
-        "PRG" -> prg(Patterns.generateAllVertexInduced(3).map(VertexInduced.toEdgeInduced)),
-        "RS" -> baseline("rs-prof-m3")(motifs(BfsEnumerator.motifCounts(spark, g, 3, rstream = true))),
-        "ABQ" -> baseline("abq-prof-m3")(motifs(BfsEnumerator.motifCounts(spark, g, 3, rstream = false))),
-        "FCL" -> baseline("fcl-prof-m3")(motifs(DfsEnumerator.motifCounts(spark, g, 3)))
+        "PRG" -> profile("prg-prof-m3")(prg(Patterns.generateAllVertexInduced(3).map(VertexInduced.toEdgeInduced))),
+        "RS" -> profile("rs-prof-m3")(motifs(BfsEnumerator.motifCounts(spark, g, 3, rstream = true))),
+        "ABQ" -> profile("abq-prof-m3")(motifs(BfsEnumerator.motifCounts(spark, g, 3, rstream = false))),
+        "FCL" -> profile("fcl-prof-m3")(motifs(DfsEnumerator.motifCounts(spark, g, 3)))
       ))
     )
     (renderTable("Fig 1: profiling (explored/canonicality/isomorphism vs result)",

@@ -27,7 +27,7 @@ object MniSupport {
   def support(g: DataGraph, p: Pattern): Long = {
     require(p.fullyLabeled || !g.labeled, "support of a pattern with wildcards needs an unlabeled graph")
     // Every match carries the same label sequence: at most one entry.
-    PlanExecutor.domains(g, Planner.plan(p)).values.headOption.map(smallestDomain(p, _)).getOrElse(0L)
+    PlanExecutor.domains(g, Planner.plan(p)).values.headOption.map(smallestDomain(orbitIds(p), _)).getOrElse(0L)
   }
 
   /** Dynamic label discovery (§3.2.1): group the matches of the
@@ -35,22 +35,26 @@ object MniSupport {
     * instantiate and compute each labeled pattern's MNI support.
     *
     * Returns (fully-labeled pattern, support) pairs; each pattern is `p`
-    * with its wildcards labeled. A match's label sequence is canonicalized
-    * as the lex-least relabelling under the automorphisms of `p` (wildcards
-    * permute only among wildcards), so e.g. the A–B and B–A labelings of a
-    * symmetric edge collapse into one labeled pattern, and its domains are
-    * permuted to match; domains are then orbit-merged under the labeled
-    * pattern's own automorphisms, as in `support`.
+    * with its wildcards labeled. Every group used is a subgroup of one: the
+    * actions of Aut(shape) on the regular vertices, the shape being `p`
+    * without its regular vertices' labels. A match's label sequence is
+    * canonicalized as the lex-least relabelling under `p`'s group (the
+    * actions keeping its labels and wildcards), so e.g. the A–B and B–A
+    * labelings of a symmetric edge collapse into one labeled pattern, and
+    * its domains are permuted to match. Domains are then orbit-merged, as in
+    * `support`, under the labeled pattern's group: the actions keeping its
+    * label sequence, which may exceed `p`'s (a chain with one end
+    * pre-labeled gains the end swap when both ends get the same label).
     */
   def labeledSupports(g: DataGraph, p: Pattern, symmetry: Boolean = true): Seq[(Pattern, Long)] = {
     require(g.labeled, "label discovery requires a labeled graph")
     val reg = p.regularVertices
-    // Position permutations: for automorphism σ, perm(j) = index of σ(reg(j)).
-    val idx = reg.zipWithIndex.toMap
-    val perms = Automorphism.all(p).map(sigma => reg.map(x => idx(sigma(x))))
+    val shape = Automorphism.regularActions(p.copy(labels = p.labels -- reg))
+    def keeping[A](ls: Seq[A]): Seq[Vector[Int]] = shape.filter(_.map(ls) == ls)
+    val own = keeping(reg.map(p.getLabel))
     val canonical = collection.mutable.Map.empty[Seq[Int], Array[RoaringBitmap]]
     for ((ls, doms) <- PlanExecutor.domains(g, Planner.plan(p), symmetry)) {
-      val perm = perms.minBy(_.map(ls))(Ordering.Implicits.seqOrdering)
+      val perm = own.minBy(_.map(ls))(Ordering.Implicits.seqOrdering)
       val key = perm.map(ls)
       val permuted = perm.map(doms).toArray
       canonical.get(key) match {
@@ -59,25 +63,17 @@ object MniSupport {
       }
     }
     canonical.toSeq.map { case (key, doms) =>
-      val labeled = reg.zipWithIndex.foldLeft(p) { case (acc, (v, j)) => acc.addLabel(v, key(j)) }
-      (labeled, smallestDomain(labeled, doms))
+      (p.copy(labels = p.labels ++ reg.zip(key)), smallestDomain(Automorphism.orbitIds(keeping(key)), doms))
     }
   }
 
-  /** Orbit id of each of `p`'s regular vertices, in `regularVertices` order,
-    * under Aut(p).
-    */
-  private[repro] def orbitIds(p: Pattern): Seq[Int] = {
-    val reg = p.regularVertices
-    val orbits = Automorphism.orbitsOf(reg, Automorphism.all(p))
-    reg.map(v => orbits.indexWhere(_.contains(v)))
-  }
+  /** Orbit id of each of `p`'s regular vertices, in `regularVertices` order. */
+  private[repro] def orbitIds(p: Pattern): Seq[Int] = Automorphism.orbitIds(Automorphism.regularActions(p))
 
-  /** Support from the domains of `p`'s regular vertices (in
-    * `regularVertices` order): the smallest union of an orbit's domains.
+  /** Support from the domains of a pattern's regular vertices (in
+    * `regularVertices` order) and their orbit ids: the smallest union of an
+    * orbit's domains.
     */
-  private def smallestDomain(p: Pattern, doms: Array[RoaringBitmap]): Long = {
-    val orbit = orbitIds(p)
+  private def smallestDomain(orbit: Seq[Int], doms: Array[RoaringBitmap]): Long =
     orbit.distinct.map(o => RoaringBitmap.or(orbit.indices.filter(orbit(_) == o).map(doms): _*).getLongCardinality).min
-  }
 }

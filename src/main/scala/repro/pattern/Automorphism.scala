@@ -57,6 +57,17 @@ object Automorphism {
     search(0, Map.empty)
   }
 
+  /** The distinct actions of Aut(p) on `p.regularVertices` as position
+    * permutations: σ acts as `a`, `a(j)` the position of σ(regularVertices(j)).
+    * Those keeping a per-position sequence `ls` (`a.map(ls) == ls`) form its
+    * stabilizer subgroup.
+    */
+  def regularActions(p: Pattern): Seq[Vector[Int]] = {
+    val reg = p.regularVertices
+    val pos = reg.zipWithIndex.toMap
+    all(p).map(sigma => reg.map(v => pos(sigma(v)))).distinct
+  }
+
   /** Number of distinct actions of Aut(p) on the regular vertices.
     *
     * This is the over-counting multiplicity a system without symmetry
@@ -65,24 +76,11 @@ object Automorphism {
     * that only permute anti-vertices do not duplicate matches, hence the
     * restriction to regular vertices.
     */
-  def regularMultiplicity(p: Pattern): Int = {
-    val reg = p.regularVertices
-    all(p).map(sigma => reg.map(sigma)).distinct.size
-  }
+  def regularMultiplicity(p: Pattern): Int = regularActions(p).size
 
-  /** Orbits of the vertex set under the full automorphism group. */
-  def orbits(p: Pattern): Seq[Set[Int]] = orbitsOf(p.vertices, all(p))
-
-  /** Orbits of `vs` under an explicit set of automorphisms. */
-  def orbitsOf(vs: Seq[Int], autos: Seq[Map[Int, Int]]): Seq[Set[Int]] = {
-    val remaining = collection.mutable.LinkedHashSet(vs: _*)
-    val out = collection.mutable.ArrayBuffer.empty[Set[Int]]
-    while (remaining.nonEmpty) {
-      val v = remaining.head
-      val orbit = autos.map(_(v)).toSet
-      out += orbit
-      remaining --= orbit
-    }
-    out.toSeq
-  }
+  /** Orbit id (smallest member) of each position under `group`, a group of
+    * position permutations such as `regularActions` or a stabilizer of it.
+    */
+  def orbitIds(group: Seq[Seq[Int]]): Vector[Int] =
+    Vector.tabulate(group.head.size)(j => group.map(_(j)).min)
 }

@@ -119,6 +119,27 @@ class BaselineSpec extends SparkSpec {
     assert(got == MatchEngine.countMatches(g6, EvalPatterns.p2))
   }
 
+  test("baselines leave no persisted RDD behind") {
+    def persisted = spark.sparkContext.getPersistentRDDs.keySet
+    def noLeak(call: String)(f: => Any): Unit = {
+      val before = persisted
+      f
+      assert(persisted == before, call)
+    }
+    for (rstream <- Seq(false, true)) {
+      noLeak(s"BFS 3-motifs rstream=$rstream")(BfsEnumerator.motifCounts(spark, g, 3, rstream))
+      noLeak(s"BFS 3-cliques rstream=$rstream")(BfsEnumerator.cliqueCount(spark, g, 3, rstream))
+    }
+    for (k <- 1 to 3; tau <- Seq(None, Some(2L)))
+      noLeak(s"BFS FSM k=$k tau=$tau")(BfsEnumerator.fsmSupports(spark, lg, k, tau))
+    noLeak("DFS 3-motifs")(DfsEnumerator.motifCounts(spark, g, 3))
+    noLeak("DFS 3-cliques")(DfsEnumerator.cliqueCount(spark, g, 3))
+    noLeak("DFS p1")(DfsEnumerator.countPattern(spark, g, EvalPatterns.p1))
+    noLeak("DFS FSM")(DfsEnumerator.fsmSupports(spark, lg, 2))
+    noLeak("G-Miner triangles")(GMinerStyle.triangleCount(spark, g))
+    noLeak("G-Miner p2")(GMinerStyle.countP2(spark, lg, 0, 1, 2, 0))
+  }
+
   test("Fig 1 shape: baselines explore far more than the result size") {
     val triangles = MatchEngine.countMatches(g, Patterns.generateClique(3))
     val (_, abq) = BfsEnumerator.cliqueCount(spark, g, 3, rstream = false)

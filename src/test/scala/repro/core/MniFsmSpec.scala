@@ -88,6 +88,19 @@ class MniFsmSpec extends SparkSpec {
     }
   }
 
+  test("labeledSupports with one chain end pre-labeled matches brute force") {
+    // A labeling that repeats the pre-set label at the other end gains the
+    // end swap, which the pre-labeled input's own group does not have. (Its
+    // orbits merge domains that are equal already: with no symmetry to
+    // break, the executor finds both orientations of each such match.)
+    for (l <- 0 until 3) {
+      val got = MniSupport.labeledSupports(g, Patterns.generateChain(3).addLabel(1, l))
+      assert(got.exists { case (p, _) => p.labels(3) == l }, s"label $l")
+      for ((p, s) <- got)
+        assert(s == LocalRef.mniSupport(p, ref), s"pattern $p")
+    }
+  }
+
   test("MNI on a labeled graph in which some vertices have no label") {
     val partial = labels.filter { case (v, _) => v % 3 != 0 }
     val pg = TestGraphs.dataGraph(spark, edges, partial)
@@ -167,6 +180,15 @@ class MniFsmSpec extends SparkSpec {
         a.atSize(e).map { case (p, s) => (CanonicalForm.key(p), s) }.toSet ==
         b.atSize(e).map { case (p, s) => (CanonicalForm.key(p), s) }.toSet
       )
+  }
+
+  test("FSM 3-edge frequent patterns match brute force over the triangle, 4-path and 3-star") {
+    val tau = 3L
+    val got = keyed(Fsm.run(spark, g, maxEdges = 3, threshold = tau).atSize(3))
+    val shapes = Patterns.generateAllEdgeInduced(3)
+    assert(shapes.size == 3)
+    val expected = shapes.map(bruteForce(_, ref, tau)).reduce(_ ++ _)
+    assert(expected.nonEmpty && got == expected)
   }
 
   test("FSM 3-edge run completes and respects anti-monotone containment") {

@@ -79,13 +79,27 @@ class AutomorphismSpec extends AnyFunSuite {
   }
 
   test("orbits of the star group the spokes") {
-    val orbits = Automorphism.orbits(Patterns.generateStar(3))
-    assert(orbits.toSet == Set(Set(1), Set(2, 3, 4)))
+    val star = Patterns.generateStar(3) // center 1, spokes 2..4
+    assert(Automorphism.orbitIds(Automorphism.regularActions(star)) == Seq(0, 1, 1, 1))
   }
 
   test("orbits of the diamond pair opposite vertices") {
     val diamond = Pattern.fromEdges((1, 2), (2, 3), (3, 4), (4, 1), (2, 4))
-    assert(Automorphism.orbits(diamond).toSet == Set(Set(1, 3), Set(2, 4)))
+    assert(Automorphism.orbitIds(Automorphism.regularActions(diamond)) == Seq(0, 1, 0, 1))
+  }
+
+  test("regularActions are the group's actions on the regular positions, and stabilizers keep labels") {
+    val chain = Patterns.generateChain(4) // 1-2-3-4: the identity and the reversal
+    val actions = Automorphism.regularActions(chain)
+    assert(actions.toSet == Set(Vector(0, 1, 2, 3), Vector(3, 2, 1, 0)))
+    assert(Automorphism.orbitIds(actions) == Seq(0, 1, 1, 0))
+    // Labels A B B A keep the reversal; A B B C keep only the identity.
+    for ((ls, size) <- Seq((Seq(0, 1, 1, 0), 2), (Seq(0, 1, 1, 2), 1))) {
+      val stabilizer = actions.filter(_.map(ls) == ls)
+      val labeled = chain.copy(labels = chain.vertices.zip(ls).toMap)
+      assert(stabilizer.size == size && stabilizer.toSet == Automorphism.regularActions(labeled).toSet)
+    }
+    assert(Automorphism.orbitIds(Seq(Vector(0, 1, 2, 3))) == Seq(0, 1, 2, 3))
   }
 
   test("preserves rejects non-automorphisms") {
