@@ -1,22 +1,22 @@
 package repro
 
 import java.util.stream.LongStream
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.catalyst.expressions.XXH64
-import org.apache.spark.sql.types._
-import scala.jdk.CollectionConverters._
+import repro.graph.DataGraph.{Edges, Labels}
 
 /** Deterministic graph generators (Peregrine reproduction). All draws are
   * hash-based (xxhash64), not random, so the DuckDB oracle and Spark see the
   * same graph.
   *
-  * The rows are computed on the driver and returned as driver-local
-  * DataFrames (a `LocalRelation`), which Spark answers from the driver:
-  * reading one starts no Spark job. Every draw is the one the Spark
-  * expression `pmod(xxhash64(id, lit(seed)), 1000000007) / 1000000007.0`
-  * would give for row `id` of `spark.range`, followed by Spark's `pow`
-  * (`StrictMath.pow`), truncating casts and `least`, so the rows are
-  * bit-identical to that expression's.
+  * The edges and labels are computed on the driver and returned as plain
+  * arrays (`DataGraph.Edges`, `DataGraph.Labels`), which
+  * `DataGraph.fromEdges` builds a graph from without Spark or Catalyst.
+  * Every draw is the one the Spark expression
+  * `pmod(xxhash64(id, lit(seed)), 1000000007) / 1000000007.0` would give for
+  * row `id` of `spark.range`, followed by Spark's `pow` (`StrictMath.pow`),
+  * truncating casts and `least`, so the arrays hold exactly that
+  * expression's rows. The `spark` parameters are unused.
   */
 object SynthData {
 
@@ -32,45 +32,46 @@ object SynthData {
 
   /** Erdős–Rényi-style undirected edge list: `nDraws` endpoint pairs drawn
     * uniformly over [0, nV), self-loops and duplicate edges removed (so the
-    * final edge count is slightly below `nDraws`). Columns: src, dst with
-    * src < dst. Models sparse, low-max-degree graphs (Patents-like).
+    * final edge count is slightly below `nDraws`), each with src < dst.
+    * Models sparse, low-max-degree graphs (Patents-like).
     */
-  def graphEdgesUniform(spark: SparkSession, nV: Long, nDraws: Long, seed: Long): DataFrame =
-    normalizedEdges(spark, nV, nDraws)(id => (hashU(id, seed) * nV).toLong, id => (hashU(id, seed + 1) * nV).toLong)
+  def graphEdgesUniform(spark: SparkSession, nV: Long, nDraws: Long, seed: Long): Edges =
+    normalizedEdges(nV, nDraws)(id => (hashU(id, seed) * nV).toLong, id => (hashU(id, seed + 1) * nV).toLong)
 
   /** Heavy-tailed undirected edge list: endpoint v drawn as floor(nV * u^s)
     * with skew exponent s > 1, concentrating edges on low vertex ids (the
     * hubs). Models social-network-like graphs (Mico/Orkut-like). Larger
     * `skew` ⇒ heavier tail / higher max degree.
     */
-  def graphEdgesZipf(spark: SparkSession, nV: Long, nDraws: Long, skew: Double, seed: Long): DataFrame = {
+  def graphEdgesZipf(spark: SparkSession, nV: Long, nDraws: Long, skew: Double, seed: Long): Edges = {
     def draw(id: Long, s: Long) = math.min(nV - 1, (StrictMath.pow(hashU(id, s), skew) * nV).toLong)
-    normalizedEdges(spark, nV, nDraws)(draw(_, seed), draw(_, seed + 1))
+    normalizedEdges(nV, nDraws)(draw(_, seed), draw(_, seed + 1))
   }
 
-  /** Deterministic vertex labels in [0, nLabels) for vertices [0, nV). */
-  def vertexLabels(spark: SparkSession, nV: Long, nLabels: Int, seed: Long): DataFrame =
-    labelFrame(spark, nV)(v => Math.floorMod(xxhash64(v, seed), nLabels.toLong).toInt)
+  /** Deterministic vertex labels in [0, nLabels), one for each vertex of [0, nV). */
+  def vertexLabels(spark: SparkSession, nV: Long, nLabels: Int, seed: Long): Labels =
+    everyVertex(nV)(v => Math.floorMod(xxhash64(v, seed), nLabels.toLong).toInt)
 
   /** Skewed deterministic labels: label floor(nLabels·u^skew), so low labels
     * are common and high labels rare — real label distributions (research
     * fields, patent years) are heavy-tailed, and FSM thresholds only
     * discriminate when label frequencies differ.
     */
-  def vertexLabelsSkewed(spark: SparkSession, nV: Long, nLabels: Int, skew: Double, seed: Long): DataFrame =
-    labelFrame(spark, nV)(v => math.min(nLabels - 1, (StrictMath.pow(hashU(v, seed), skew) * nLabels).toInt))
+  def vertexLabelsSkewed(spark: SparkSession, nV: Long, nLabels: Int, skew: Double, seed: Long): Labels =
+    everyVertex(nV)(v => math.min(nLabels - 1, (StrictMath.pow(hashU(v, seed), skew) * nLabels).toInt))
 
   /** Edges of a planted k-clique over vertices `vs` (for existence queries). */
-  def plantedClique(spark: SparkSession, vs: Seq[Long]): DataFrame =
-    local(spark, "src" -> LongType, "dst" -> LongType)(
-      for (i <- vs.indices; j <- (i + 1) until vs.size) yield Row(math.min(vs(i), vs(j)), math.max(vs(i), vs(j))))
+  def plantedClique(spark: SparkSession, vs: Seq[Long]): Edges = {
+    val pairs = for (i <- vs.indices; j <- (i + 1) until vs.size) yield (math.min(vs(i), vs(j)), math.max(vs(i), vs(j)))
+    Edges(pairs.map(_._1).toArray, pairs.map(_._2).toArray)
+  }
 
   /** The edges of draws `a(id)`–`b(id)` for `id` in [0, nDraws): self-loops
     * dropped, oriented src < dst, deduplicated by sorting the pairs packed
     * into one long each. Ids fit 31 bits, so a packed pair is non-negative
     * and -1 can mark a self-loop. The draws run on the driver's cores.
     */
-  private def normalizedEdges(spark: SparkSession, nV: Long, nDraws: Long)(a: Long => Long, b: Long => Long): DataFrame = {
+  private def normalizedEdges(nV: Long, nDraws: Long)(a: Long => Long, b: Long => Long): Edges = {
     require(nV <= (1L << 31), s"$nV vertex ids do not pack two to a long")
     val packed = LongStream.range(0, nDraws).parallel()
       .map { id =>
@@ -80,15 +81,13 @@ object SynthData {
       .filter(_ >= 0)
       .sorted()
       .toArray
-    val edges = (0 until packed.length).filter(k => k == 0 || packed(k) != packed(k - 1))
-    local(spark, "src" -> LongType, "dst" -> LongType)(edges.map(k => Row(packed(k) >>> 32, packed(k) & 0xffffffffL)))
+    val edges = packed.indices.filter(k => k == 0 || packed(k) != packed(k - 1)).map(packed).toArray
+    Edges(edges.map(_ >>> 32), edges.map(_ & 0xffffffffL))
   }
 
-  /** Rows (v, label(v)) for v in [0, nV). */
-  private def labelFrame(spark: SparkSession, nV: Long)(label: Long => Int): DataFrame =
-    local(spark, "v" -> LongType, "lab" -> IntegerType)((0L until nV).map(v => Row(v, label(v))))
-
-  /** A driver-local DataFrame of `rows`. */
-  private def local(spark: SparkSession, cols: (String, DataType)*)(rows: Seq[Row]): DataFrame =
-    spark.createDataFrame(rows.asJava, StructType(cols.map { case (c, t) => StructField(c, t, nullable = false) }))
+  /** `label(v)` for every v in [0, nV). */
+  private def everyVertex(nV: Long)(label: Long => Int): Labels = {
+    val vs = Array.tabulate(Math.toIntExact(nV))(_.toLong)
+    Labels(vs, vs.map(label))
+  }
 }

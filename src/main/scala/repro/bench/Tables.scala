@@ -9,10 +9,11 @@ import repro.pattern.{Pattern, Patterns}
 import repro.plan.Planner
 
 /** Runners reproducing each evaluation table. Every cell reports the value
-  * produced (a count / pattern total) and the wall-clock seconds; baseline
-  * cells run under a time budget and report 'x' on timeout, '-' on failure,
-  * mirroring the paper's ×/— markers. Cells the paper itself could not run
-  * (OOM / out of disk) are skipped and marked 'np' (not performed).
+  * produced (a count, or `Nf3` for N frequent 3-edge patterns) and the
+  * wall-clock seconds; baseline cells run under a time budget and report
+  * 'x' on timeout, '-' on failure, mirroring the paper's ×/— markers. Cells
+  * the paper itself could not run (OOM / out of disk) are skipped and
+  * marked 'np' (not performed).
   *
   * Every runner returns (formatted table, rows) where a row is
   * (app, graph, Seq(system -> cell)); `check` lists what is wrong with a
@@ -71,9 +72,14 @@ object Tables {
 
   // -------------------------------------------------------------- checks
 
+  /** A cell value systems must agree on: a count, or a number of frequent
+    * 3-edge patterns (`Nf3`).
+    */
+  private val comparable = """\d+(f3)?""".r
+
   /** What is wrong with the rows of `table` (a `Main` table name), one
     * line per failure:
-    *   - a row's completed numeric cells disagree;
+    *   - a row's completed count or `Nf3` cells disagree;
     *   - a PRG cell failed ('-');
     *   - table2: not five dataset rows, or a row without `|V|=`;
     *   - table6: the planted 6-clique is not found, or a 14-clique is
@@ -84,7 +90,7 @@ object Tables {
   def check(table: String, rows: Seq[Row]): Seq[String] = {
     val disagree = rows.collect {
       case (app, g, cells) if cells.collect {
-            case (_, Cell(v, Some(_))) if v.forall(_.isDigit) => v
+            case (_, Cell(v, Some(_))) if comparable.matches(v) => v
           }.distinct.size > 1 =>
         s"systems disagree on $app/$g: ${cells.map { case (s, c) => s"$s=${c.value}" }.mkString(" ")}"
     }
@@ -163,10 +169,13 @@ object Tables {
 
   // -------------------------------------------------------------- Tables 3/4
 
-  private def prgFsm(spark: SparkSession, g: DataGraph, tau: Long): String = {
-    val r = Fsm.run(spark, g, maxEdges = 3, threshold = tau)
-    s"${r.totalPatterns}f"
-  }
+  /** The number of frequent 3-edge patterns as `Nf3`, the form of every
+    * FSM cell.
+    */
+  private def fsm3(r: Fsm.Result): String = s"${r.atSize(3).size}f3"
+
+  private def prgFsm(spark: SparkSession, g: DataGraph, tau: Long): String =
+    fsm3(Fsm.run(spark, g, maxEdges = 3, threshold = tau))
 
   /** A pattern-unaware baseline of Tables 3 and 4: its motif total, clique
     * count and number of frequent 3-edge patterns; `fsm` is None where the
@@ -316,8 +325,7 @@ object Tables {
           "PRG-U" -> Some(() => MotifCount.total(g, 4, symmetry = false).toString))
       } :+
         vsRow(spark, s"FSM tau=$fig10Tau", s"fsm$fig10Tau", "MI", prgFsm(spark, d.mi, fig10Tau), scale = 3)(
-          "PRG-U" -> Some(() =>
-            s"${Fsm.run(spark, d.mi, maxEdges = 3, threshold = fig10Tau, symmetry = false).totalPatterns}f"))
+          "PRG-U" -> Some(() => fsm3(Fsm.run(spark, d.mi, maxEdges = 3, threshold = fig10Tau, symmetry = false))))
     (renderTable("Fig 10: benefit of symmetry breaking (PRG vs PRG-U)", Seq("PRG", "PRG-U"), rows), rows)
   }
 

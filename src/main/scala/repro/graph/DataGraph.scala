@@ -105,36 +105,45 @@ object DataGraph {
   /** The largest array the JVM allocates. */
   private val MaxArray = Int.MaxValue - 8
 
-  /** Build the substrate from a raw undirected edge list (integral columns
-    * src, dst; orientation/duplicates/self-loops are normalized away, rows
-    * with a null endpoint skipped) and optional vertex labels (integral
-    * columns v, lab; rows with a null skipped). Isolated vertices are
-    * dropped — they cannot participate in any match of a pattern with at
-    * least one edge.
+  /** A raw undirected edge list held on the driver: edge k joins `src(k)`
+    * and `dst(k)`. Orientation, repeats and self-loops are allowed;
+    * `fromEdges` normalizes them away.
+    */
+  final case class Edges(src: Array[Long], dst: Array[Long]) {
+    require(src.length == dst.length, s"${src.length} sources for ${dst.length} destinations")
+    def size: Int = src.length
+
+    /** These edges followed by `other`'s. */
+    def ++(other: Edges): Edges = Edges(src ++ other.src, dst ++ other.dst)
+  }
+
+  /** Vertex labels held on the driver: vertex `v(k)` has label `lab(k)`. */
+  final case class Labels(v: Array[Long], lab: Array[Int]) {
+    require(v.length == lab.length, s"${v.length} vertices for ${lab.length} labels")
+    def size: Int = v.length
+  }
+
+  /** Build the substrate from a raw undirected edge list (orientation,
+    * duplicates and self-loops are normalized away) and optional vertex
+    * labels. Isolated vertices are dropped — they cannot participate in any
+    * match of a pattern with at least one edge; so are their labels.
     *
-    * A vertex carries at most one label: repeated rows with its label
+    * A vertex carries at most one label: repeated pairs with its label
     * collapse, and two different labels fail a `require`.
     *
-    * The raw edges and labels are each read with one `Dataset.collect`, as
-    * given (no Catalyst operator is added, so the collect compiles as
-    * little as possible); everything else is built on the driver, so 2·|E|
-    * (before deduplication) must fit an `Int`-indexed array, which also
-    * bounds |V| below `Int.MaxValue`. Spark answers the collect of a
-    * driver-local relation (such as `SynthData`'s generators return) from
-    * the driver, so building from one starts no Spark job; any other input
-    * costs one job per collect.
+    * Everything runs on the driver, over the given arrays: no Spark job,
+    * no Catalyst analysis, optimization or code generation. 2·|E| (before
+    * deduplication) must fit an `Int`-indexed array, which also bounds |V|
+    * below `Int.MaxValue`. Original ids are kept whole (they may exceed 32
+    * bits) until they are ranked.
     */
-  def fromEdges(spark: SparkSession, rawEdges: DataFrame, rawLabels: Option[DataFrame] = None): DataGraph = {
-    // (a, b) pairs, a < b, flattened; original ids are kept whole (they may
-    // exceed 32 bits) until they are ranked. Rows with a null endpoint and
-    // self-loops are skipped.
-    val (src, dst) = (rawEdges.schema.fieldIndex("src"), rawEdges.schema.fieldIndex("dst"))
-    val rows = rawEdges.collect()
-    require(2L * rows.length <= MaxArray, s"${rows.length} edges do not fit the driver's Int-indexed arrays")
-    val pairs = new Array[Long](2 * rows.length)
+  def fromEdges(spark: SparkSession, edges: Edges, labels: Option[Labels]): DataGraph = {
+    // (a, b) pairs, a < b, flattened, self-loops skipped.
+    require(2L * edges.size <= MaxArray, s"${edges.size} edges do not fit the driver's Int-indexed arrays")
+    val pairs = new Array[Long](2 * edges.size)
     var filled = 0
-    for (r <- rows if !r.isNullAt(src) && !r.isNullAt(dst)) {
-      val a = id(r, src); val b = id(r, dst)
+    for (k <- 0 until edges.size) {
+      val a = edges.src(k); val b = edges.dst(k)
       if (a != b) { pairs(filled) = math.min(a, b); pairs(filled + 1) = math.max(a, b); filled += 2 }
     }
     val ends = java.util.Arrays.copyOf(pairs, filled)
@@ -164,16 +173,15 @@ object DataGraph {
     }
     val ranked = Array.tabulate(m)(k => (rank((packed(k) >>> 32).toInt).toLong << 32) | rank(packed(k).toInt))
 
-    val labelArr = rawLabels.map { lf =>
+    val labelArr = labels.map { ls =>
       val arr = Array.fill(n)(Csr.NoLabel)
-      val (vc, lc) = (lf.schema.fieldIndex("v"), lf.schema.fieldIndex("lab"))
-      for (r <- lf.collect() if !r.isNullAt(vc) && !r.isNullAt(lc)) {
-        val i = index(id(r, vc))
+      for (k <- 0 until ls.size) {
+        val i = index(ls.v(k))
         if (i >= 0) {
           val v = rank(i)
-          val lab = r.getAs[Number](lc).intValue
+          val lab = ls.lab(k)
           require(lab != Csr.NoLabel, s"label $lab is reserved for unlabeled vertices")
-          require(arr(v) == Csr.NoLabel || arr(v) == lab, s"vertex ${id(r, vc)} has two labels, ${arr(v)} and $lab")
+          require(arr(v) == Csr.NoLabel || arr(v) == lab, s"vertex ${ls.v(k)} has two labels, ${arr(v)} and $lab")
           arr(v) = lab
         }
       }
@@ -183,8 +191,31 @@ object DataGraph {
     new DataGraph(spark, Csr.fromPackedEdges(n, ranked), labelArr, origIds)
   }
 
-  /** The integral id in column `c` of `r`. */
-  private def id(r: Row, c: Int): Long = r.getAs[Number](c).longValue
+  /** `fromEdges` over DataFrames: a raw edge list with integral columns
+    * src, dst and optional labels with integral columns v, lab. Each is
+    * read with one `Dataset.collect`, as given (no Catalyst operator is
+    * added, so the collect compiles as little as possible), rows with a
+    * null skipped; the arrays then go through the array `fromEdges`. A
+    * driver-local relation is collected without a Spark job; any other
+    * input costs one job per collect.
+    */
+  def fromEdges(spark: SparkSession, rawEdges: DataFrame, rawLabels: Option[DataFrame] = None): DataGraph = {
+    val (src, dst) = collectPairs(rawEdges, "src", "dst")
+    val labels = rawLabels.map { lf =>
+      val (v, lab) = collectPairs(lf, "v", "lab")
+      Labels(v, lab.map(_.toInt))
+    }
+    fromEdges(spark, Edges(src, dst), labels)
+  }
+
+  /** The integral columns `a` and `b` of `df`'s rows that have a value in
+    * both, read with one collect.
+    */
+  private def collectPairs(df: DataFrame, a: String, b: String): (Array[Long], Array[Long]) = {
+    val (ac, bc) = (df.schema.fieldIndex(a), df.schema.fieldIndex(b))
+    val rows = df.collect().filter(r => !r.isNullAt(ac) && !r.isNullAt(bc))
+    (rows.map(_.getAs[Number](ac).longValue), rows.map(_.getAs[Number](bc).longValue))
+  }
 
   /** Removes repeats from the sorted `xs` in place; returns the distinct count. */
   private def dedupe(xs: Array[Long]): Int = {

@@ -18,6 +18,8 @@ import repro.SynthData
   *   - FR-lite: the largest graph, sparse.
   *
   * `scale` multiplies edge-draw counts (1.0 = defaults used in benches).
+  * Every maker builds its graph from `SynthData`'s driver arrays, so it
+  * starts no Spark job.
   */
 object GraphGen {
 
@@ -82,6 +84,6 @@ object GraphGen {
     val nV = 2500L
     val base = SynthData.graphEdgesZipf(spark, nV, (35000 * scale).toLong, skew = 1.4, seed = 31)
     val clique = SynthData.plantedClique(spark, (100L until (100L + k)))
-    Lite(DataGraph.fromEdges(spark, base.union(clique), None), None)
+    Lite(DataGraph.fromEdges(spark, base ++ clique, None), None)
   }
 }

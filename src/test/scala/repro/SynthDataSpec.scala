@@ -1,22 +1,34 @@
 package repro
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.types.{DataType, IntegerType, LongType}
+import repro.graph.DataGraph.{Edges, Labels}
 
 /** The driver-side generators give exactly the rows of the Spark
-  * expressions they replace (`SparkSynthData`).
+  * expressions they replace (`SparkSynthData`): the same pairs, duplicates
+  * counted.
   */
 class SynthDataSpec extends SparkSpec {
 
-  private def rows(df: DataFrame): Seq[(Long, Long)] =
+  /** The reference's rows, sorted, after checking its columns are `cols`. */
+  private def rows(df: DataFrame, cols: (String, DataType)*): Seq[(Long, Long)] = {
+    assert(df.schema.map(f => f.name -> f.dataType) == cols)
     df.collect().toSeq.map(r => (r.getLong(0), r.get(1).asInstanceOf[Number].longValue)).sorted
-
-  private def same(driver: DataFrame, reference: DataFrame, what: String): Unit = {
-    assert(driver.columns.toSeq == reference.columns.toSeq, what)
-    assert(driver.schema.map(_.dataType) == reference.schema.map(_.dataType), what)
-    val (d, r) = (rows(driver), rows(reference))
-    assert(d.size == r.size, s"$what: ${d.size} vs ${r.size} rows")
-    assert(d == r, s"$what: first differences ${d.diff(r).take(3)} vs ${r.diff(d).take(3)}")
   }
+
+  private def same(driver: Seq[(Long, Long)], reference: Seq[(Long, Long)], what: String): Unit = {
+    val d = driver.sorted
+    assert(d.size == reference.size, s"$what: ${d.size} vs ${reference.size} rows")
+    assert(d == reference, s"$what: first differences ${d.diff(reference).take(3)} vs ${reference.diff(d).take(3)}")
+  }
+
+  private def same(driver: Edges, reference: DataFrame, what: String): Unit =
+    same(driver.src.indices.map(k => (driver.src(k), driver.dst(k))),
+      rows(reference, "src" -> LongType, "dst" -> LongType), what)
+
+  private def same(driver: Labels, reference: DataFrame, what: String): Unit =
+    same(driver.v.indices.map(k => (driver.v(k), driver.lab(k).toLong)),
+      rows(reference, "v" -> LongType, "lab" -> IntegerType), what)
 
   // (nV, draws, skew, seed): MI-lite; the benchmark's MI at seeds 1–3 (every
   // generator seed shifted by 1000 × seed) and at 5 % size; OK-lite's skew;
@@ -37,7 +49,7 @@ class SynthDataSpec extends SparkSpec {
     for ((nV, draws, skew, seed) <- zipfCases)
       same(SynthData.graphEdgesZipf(spark, nV, draws, skew, seed),
         SparkSynthData.graphEdgesZipf(spark, nV, draws, skew, seed), s"zipf($nV, $draws, $skew, $seed)")
-    assert(SynthData.graphEdgesZipf(spark, 1, 100, 1.6, 11).collect().isEmpty)
+    assert(SynthData.graphEdgesZipf(spark, 1, 100, 1.6, 11).size == 0)
   }
 
   test("graphEdgesUniform reproduces the Spark expression's rows") {

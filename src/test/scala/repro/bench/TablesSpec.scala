@@ -44,6 +44,12 @@ class TablesSpec extends SparkSpec {
     assert(Tables.check("fig1", fig1).isEmpty)
   }
 
+  test("check compares the frequent 3-edge pattern counts of FSM rows") {
+    def fsm(prg: String, abq: String) = Seq(("FSM tau=60", "MI", Seq("PRG" -> done(prg), "ABQ" -> done(abq))))
+    assert(Tables.check("table3", fsm("417f3", "416f3")).head.contains("disagree on FSM tau=60/MI"))
+    assert(Tables.check("table3", fsm("417f3", "417f3")).isEmpty)
+  }
+
   test("Table 2 over 5 %-size lite graphs passes its check") {
     val (rendered, rows) = Tables.table2(spark, new LiteData(spark, 0.05))
     assert(rendered.contains("Table 2"))

@@ -2,10 +2,13 @@ package repro.graph
 
 import java.util.concurrent.{CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.metrics.source.CodegenMetrics
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.catalyst.rules.RuleExecutor
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData, TestGraphs}
 import repro.apps.{CliqueCount, Fsm}
+import repro.bench.LiteData
 import repro.core.Existence
 import repro.pattern.Patterns
 
@@ -197,26 +200,83 @@ class DataGraphSpec extends SparkSpec {
     } finally sc.removeSparkListener(listener)
   }
 
-  /** The benchmark's MI graph at 5 % size: a zipf edge list and skewed labels. */
-  private def miSmall = (SynthData.graphEdgesZipf(spark, 100, 1200, 1.6, 11), SynthData.vertexLabelsSkewed(spark, 100, 29, 2.0, 12))
+  /** The benchmark's MI graph at 5 % size as driver-local DataFrames of the
+    * generators' zipf edges and skewed labels.
+    */
+  private def miSmall = {
+    import spark.implicits._
+    val e = SynthData.graphEdgesZipf(spark, 100, 1200, 1.6, 11)
+    val l = SynthData.vertexLabelsSkewed(spark, 100, 29, 2.0, 12)
+    (e.src.zip(e.dst).toSeq.toDF("src", "dst"), l.v.zip(l.lab).toSeq.toDF("v", "lab"))
+  }
+
+  /** Catalyst rule runs (analyzer and optimizer) and generated classes
+    * compiled so far in this JVM.
+    */
+  private def catalystWork: (Long, Long) =
+    (RuleExecutor.getCurrentMetrics().numRuns, CodegenMetrics.METRIC_COMPILATION_TIME.getCount)
 
   test("a build from the generators starts no Spark job") {
-    val (g, jobs) = jobsDuring(GraphGen.miLite(spark, 0.05).graph)
-    assert(jobs == 0)
-    assert(g.numEdges > 0 && g.labeled)
-    // The check sees jobs: the same edges spread over partitions cost one.
-    assert(jobsDuring(DataGraph.fromEdges(spark, miSmall._1.repartition(8)))._2 >= 1)
+    val d = new LiteData(spark, 0.05)
+    for (name <- d.names) {
+      val before = catalystWork
+      val (b, jobs) = jobsDuring(d.build(name))
+      assert(jobs == 0, name)
+      assert(catalystWork == before, s"$name ran Catalyst rules or code generation")
+      assert(b.graph.numEdges > 0, name)
+      b.graph.unpersist()
+    }
+    // The checks see work: the same edges as a DataFrame are analyzed, and
+    // spread over partitions they cost a job.
+    val before = catalystWork
+    val (edges, _) = miSmall
+    assert(catalystWork._1 > before._1)
+    assert(jobsDuring(DataGraph.fromEdges(spark, edges.repartition(8)))._2 >= 1)
   }
 
   test("a driver-local relation and its repartitioned copy build the same graph") {
     val (edges, labels) = miSmall
     val local = DataGraph.fromEdges(spark, edges, Some(labels))
     val spread = DataGraph.fromEdges(spark, edges.repartition(8), Some(labels.repartition(8)))
-    val (a, b) = (local.csr.value, spread.csr.value)
-    assert(a.offsets.toSeq == b.offsets.toSeq && a.nbrs.toSeq == b.nbrs.toSeq)
-    assert(local.labelArray.get.value.toSeq == spread.labelArray.get.value.toSeq)
-    def mapping(g: DataGraph) = g.mapping.collect().map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq
-    assert(mapping(local) == mapping(spread))
+    assertSameGraph(local, spread, "local vs repartitioned")
     local.unpersist(); spread.unpersist()
+  }
+
+  private def mapping(g: DataGraph): Seq[(Long, Long)] =
+    g.mapping.collect().map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq
+
+  private def assertSameGraph(a: DataGraph, b: DataGraph, what: String): Unit = {
+    assert(a.numVertices == b.numVertices && a.numEdges == b.numEdges, what)
+    val (x, y) = (a.csr.value, b.csr.value)
+    assert(x.offsets.toSeq == y.offsets.toSeq && x.nbrs.toSeq == y.nbrs.toSeq, what)
+    assert(a.labelArray.map(_.value.toSeq) == b.labelArray.map(_.value.toSeq), what)
+    assert(mapping(a) == mapping(b), what)
+  }
+
+  test("the array builder and the DataFrame adapter build the same graph") {
+    import spark.implicits._
+    val big = 1L << 32
+    val (a, b, c, d, e) = (big + 7, 3L * big, 5L, Long.MaxValue - 1, big + 8)
+    val cases: Seq[(String, Seq[(Long, Long)], Option[Seq[(Long, Int)]])] = Seq(
+      // ids above 32 bits, reversed duplicates, self-loops and degree ties
+      ("sparse ids", Seq((a, b), (b, a), (a, b), (c, a), (c, c), (42L, 42L), (b, c), (c, d), (d, e), (e, b), (a, e)),
+        Some(Seq((a, 1), (b, 2), (d, 1), (e, 0), (42L, 5)))),
+      ("degree ties", Seq((1L, 2L), (3L, 4L), (5L, 6L), (2L, 3L), (6L, 1L)), None),
+      ("empty", Seq.empty, Some(Seq((1L, 0)))),
+      ("self-loops only", Seq((1L, 1L), (7L, 7L)), Some(Seq((1L, 0), (7L, 1)))),
+      // labels of vertices without an edge, a repeated label and an unlabeled vertex
+      ("labels off the graph", Seq((1L, 2L), (2L, 3L), (3L, 4L)), Some(Seq((1L, 5), (1L, 5), (3L, 6), (9L, 1), (big, 2))))
+    )
+    for ((what, es, ls) <- cases) {
+      val arrays = DataGraph.fromEdges(spark, DataGraph.Edges(es.map(_._1).toArray, es.map(_._2).toArray),
+        ls.map(l => DataGraph.Labels(l.map(_._1).toArray, l.map(_._2).toArray)))
+      val frames = DataGraph.fromEdges(spark, es.toDF("src", "dst"), ls.map(_.toDF("v", "lab")))
+      assertSameGraph(arrays, frames, what)
+      arrays.unpersist(); frames.unpersist()
+    }
+    val (es, twoLabels) = (Seq((1L, 2L)), Seq((1L, 4), (1L, 5)))
+    intercept[IllegalArgumentException](DataGraph.fromEdges(spark, DataGraph.Edges(Array(1L), Array(2L)),
+      Some(DataGraph.Labels(twoLabels.map(_._1).toArray, twoLabels.map(_._2).toArray))))
+    intercept[IllegalArgumentException](DataGraph.fromEdges(spark, es.toDF("src", "dst"), Some(twoLabels.toDF("v", "lab"))))
   }
 }

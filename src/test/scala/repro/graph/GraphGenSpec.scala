@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.functions._
 import repro.{SparkSpec, SynthData}
 import repro.core.Existence
 import repro.pattern.Patterns
@@ -8,41 +7,41 @@ import repro.pattern.Patterns
 /** Synthetic graph generators (the dataset substitution of DESIGN.md §3). */
 class GraphGenSpec extends SparkSpec {
 
+  private def pairs(e: DataGraph.Edges): Seq[(Long, Long)] = e.src.indices.map(k => (e.src(k), e.dst(k)))
+
   test("uniform edges are normalized, deduplicated, loop-free") {
     val e = SynthData.graphEdgesUniform(spark, nV = 500, nDraws = 2000, seed = 1)
-    assert(e.filter(col("src") >= col("dst")).count() == 0)
-    assert(e.count() == e.distinct().count())
-    assert(e.agg(max("dst")).head().getLong(0) < 500)
+    assert(pairs(e).count { case (s, d) => s >= d } == 0)
+    assert(pairs(e).size == pairs(e).distinct.size)
+    assert(e.dst.max < 500)
   }
 
   test("generators are deterministic in the seed") {
-    def sig(df: org.apache.spark.sql.DataFrame): Long =
-      df.agg(sum(col("src") * 31 + col("dst"))).head().getLong(0)
+    def sig(e: DataGraph.Edges): Long = pairs(e).map { case (s, d) => s * 31 + d }.sum
     val a = SynthData.graphEdgesZipf(spark, 300, 1500, skew = 1.5, seed = 5)
     val b = SynthData.graphEdgesZipf(spark, 300, 1500, skew = 1.5, seed = 5)
     val c = SynthData.graphEdgesZipf(spark, 300, 1500, skew = 1.5, seed = 6)
     assert(sig(a) == sig(b))
     assert(sig(a) != sig(c))
-    assert(a.count() == b.count())
+    assert(a.size == b.size)
   }
 
   test("zipf endpoints concentrate on low ids (heavy tail)") {
-    val g = DataGraph.fromEdges(spark, SynthData.graphEdgesZipf(spark, 1000, 8000, skew = 1.6, seed = 7))
-    val u = DataGraph.fromEdges(spark, SynthData.graphEdgesUniform(spark, 1000, 8000, seed = 8))
+    val g = DataGraph.fromEdges(spark, SynthData.graphEdgesZipf(spark, 1000, 8000, skew = 1.6, seed = 7), None)
+    val u = DataGraph.fromEdges(spark, SynthData.graphEdgesUniform(spark, 1000, 8000, seed = 8), None)
     assert(GraphStats.describe(g).maxDegree > 2 * GraphStats.describe(u).maxDegree)
   }
 
   test("vertexLabels covers the requested range deterministically") {
     val l = SynthData.vertexLabels(spark, 1000, nLabels = 7, seed = 9)
-    assert(l.count() == 1000)
-    val range = l.agg(min("lab") as "a", max("lab") as "b").head()
-    assert(range.getInt(0) >= 0 && range.getInt(1) < 7)
-    assert(l.select("lab").distinct().count() == 7)
+    assert(l.size == 1000)
+    assert(l.lab.min >= 0 && l.lab.max < 7)
+    assert(l.lab.distinct.length == 7)
   }
 
   test("plantedClique produces a complete subgraph") {
     val e = SynthData.plantedClique(spark, Seq(10L, 11L, 12L, 13L))
-    assert(e.count() == 6)
+    assert(e.size == 6)
   }
 
   test("lite datasets build and report Table 2 stats") {
