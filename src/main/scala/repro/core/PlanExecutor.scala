@@ -11,10 +11,16 @@ import repro.plan.ExplorationPlan
   * exploration plan, or aggregates their MNI domains, without materializing
   * any of them.
   *
-  * One `mapPartitions` job runs T = 4 × `defaultParallelism` tasks. Task j
-  * takes the roots j, j + T, … places from the top of the id order, high to
-  * low (§5.2: ids are degree ranks), and from each root binds the vertices
-  * of `plan.joinOrder` by backtracking:
+  * One `mapPartitions` job runs T = `defaultParallelism` tasks, one per
+  * core. The unit of work is a (root, position-1 candidate) pair (§5.2):
+  * every task walks the roots from the highest id down (ids are degree
+  * ranks), applies position 0's checks and cuts position 1's candidate range
+  * as below, and task j binds only the candidates whose running index over
+  * those ranges, counted before any check, is ≡ j (mod T). So a hub root's
+  * pairs spread over every task, and each task numbers the pairs the same
+  * way without sharing state. A single-vertex plan deals its roots the same
+  * way. From a bound pair the task binds the rest of `plan.joinOrder` by
+  * backtracking:
   *
   *  - a vertex's candidates are the adjacency list of its bound pattern
   *    neighbour of smallest data degree, cut by binary search to the id
@@ -77,11 +83,11 @@ object PlanExecutor {
     val csr = g.csr
     val labels = if (labeled || collect) g.labelArray else None
     val sc = g.spark.sparkContext
-    val n = 4 * sc.defaultParallelism
+    val n = sc.defaultParallelism
     sc.parallelize(0 until n, n)
-      .mapPartitions { js =>
-        val search = new Search(prog, csr.value, labels.map(_.value).orNull, limit, collect)
-        js.foreach(j => search.roots(j, n))
+      .mapPartitionsWithIndex { (j, _) =>
+        val search = new Search(prog, csr.value, labels.map(_.value).orNull, limit, collect, j, n)
+        search.extend(0)
         Iterator(out(search))
       }
       .collect()
@@ -129,31 +135,29 @@ object PlanExecutor {
     }
   }
 
-  /** One task's backtracking search; `labels` is null when it reads none.
-    * With `collect` it files every match into `domains`.
+  /** The backtracking search of task `task` out of `tasks`, run by
+    * `extend(0)`; `labels` is null when it reads none. With `collect` it
+    * files every match into `domains`.
     */
-  private final class Search(prog: Program, csr: Csr, labels: Array[Int], limit: Long, collect: Boolean) {
+  private final class Search(
+      prog: Program, csr: Csr, labels: Array[Int], limit: Long, collect: Boolean, task: Int, tasks: Int
+  ) {
     private val k = prog.nbrs.length
     private val m = new Array[Int](k)
     private val ctx = TaskContext.get()
     private var work = 0
+    /** The position whose candidates are dealt; every task walks the earlier ones. */
+    private val dealt = math.min(1, k - 1)
+    /** Range positions of `dealt` passed so far, counted before any check. */
+    private var units = 0L
     val accepted = new Array[Long](k)
     var count = 0L
     val domains: Domains = if (collect) new Domains(prog, labels) else null
 
-    /** Roots j, j + tasks, … places below the highest id. */
-    def roots(j: Int, tasks: Int): Unit = {
-      var r = csr.numVertices - 1 - j
-      while (r >= 0 && count < limit) {
-        tick()
-        if (accepts(0, r, -1)) bind(0, r)
-        r -= tasks
-      }
-    }
-
     private def bind(i: Int, c: Int): Unit = {
       m(i) = c
-      accepted(i) += 1
+      // Every task binds the candidates before `dealt`; task c mod `tasks` counts them.
+      if (i >= dealt || c % tasks == task) accepted(i) += 1
       if (i + 1 < k) extend(i + 1)
       else if (antiVerticesHold) {
         count += 1
@@ -161,19 +165,32 @@ object PlanExecutor {
       }
     }
 
-    private def extend(i: Int): Unit = {
-      val anchor = smallest(prog.nbrs(i))
-      var lo = csr.offsets(anchor)
-      var hi = csr.offsets(anchor + 1)
+    /** Binds position `i`'s candidates in turn: the roots from the highest
+      * id down at position 0, else the list of `i`'s bound neighbour of
+      * smallest degree, cut to the id range the partial orders allow. At
+      * position `dealt` only every `tasks`-th range position, from the one
+      * whose running index is ≡ `task`.
+      */
+    def extend(i: Int): Unit = {
+      val anchor = if (i == 0) -1 else smallest(prog.nbrs(i))
+      var lo = if (i == 0) 0 else csr.offsets(anchor)
+      var hi = if (i == 0) csr.numVertices else csr.offsets(anchor + 1)
       val above = prog.above(i)
       if (above.nonEmpty) lo = csr.lowerBound(lo, hi, maxImage(above) + 1)
       val below = prog.below(i)
       if (below.nonEmpty) hi = csr.lowerBound(lo, hi, minImage(below))
+      var step = 1
+      if (i == dealt) {
+        val first = lo + Math.floorMod(task - units, tasks)
+        units += hi - lo
+        lo = first
+        step = tasks
+      }
       while (lo < hi && count < limit) {
-        val c = csr.nbrs(lo)
+        val c = if (i == 0) csr.numVertices - 1 - lo else csr.nbrs(lo)
         tick()
         if (accepts(i, c, anchor)) bind(i, c)
-        lo += 1
+        lo += step
       }
     }
 

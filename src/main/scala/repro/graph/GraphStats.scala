@@ -1,8 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
 /** Dataset statistics for the Table 2 reproduction: |V|, |E|, |L|, max and
   * average degree. Read from the substrate's CSR and label array, so they
   * run no Spark job.
@@ -18,8 +15,4 @@ object GraphStats {
     val nLabels = g.labelArray.map(_.value.iterator.filter(_ != Csr.NoLabel).distinct.size.toLong)
     Stats(g.numVertices, g.numEdges, nLabels, maxDegree, avgDegree)
   }
-
-  /** Per-vertex degree as a DataFrame (v, deg) — oracle-checkable. */
-  def degreeDf(g: DataGraph): DataFrame =
-    g.adj.groupBy(col("src") as "v").agg(count(lit(1)) as "deg")
 }

@@ -118,15 +118,6 @@ final case class Pattern(
       seen.size == vs.size
     }
 
-  /** Subgraph induced by `vs` (keeps regular and anti edges and labels among `vs`). */
-  def inducedSubgraph(vs: Set[Int]): Pattern =
-    Pattern(
-      vertices.filter(vs),
-      edges.filter { case (u, v) => vs(u) && vs(v) },
-      antiEdges.filter { case (u, v) => vs(u) && vs(v) },
-      labels.filter { case (u, _) => vs(u) }
-    )
-
   /** Remap vertex ids through `f` (must be injective on `vertices`). */
   def remap(f: Int => Int): Pattern = {
     val m = vertices.map(v => v -> f(v)).toMap

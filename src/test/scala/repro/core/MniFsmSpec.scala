@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{LocalRef, SparkSpec, TestGraphs}
 import repro.apps.Fsm
-import repro.pattern.{CanonicalForm, Pattern, Patterns}
+import repro.pattern.{CanonicalForm, InducedSubgraph, Pattern, Patterns}
 
 /** MNI support (§2.1/§5.5) and FSM with dynamic label discovery (§3.2.1),
   * verified against the local brute-force reference.
@@ -199,7 +199,7 @@ class MniFsmSpec extends SparkSpec {
       val subKeys = p.edges.map { case (u, v) =>
         val sub = p.removeEdge(u, v)
         val kept = sub.vertices.filter(x => sub.degree(x) > 0)
-        CanonicalForm.key(sub.inducedSubgraph(kept.toSet))
+        CanonicalForm.key(InducedSubgraph(sub, kept.toSet))
       }
       assert(subKeys.exists(freq2), s"no frequent sub-pattern for $p")
     }

@@ -68,6 +68,87 @@ class PlanExecutorSpec extends SparkSpec {
     assert(r.count == 1)
   }
 
+  private def tasks = spark.sparkContext.defaultParallelism
+
+  /** K1,n: hub 0 joined to leaves 1..n. */
+  private def star(n: Int): Seq[(Long, Long)] = (1 to n).map(i => (0L, i.toLong))
+
+  private val small: Seq[Pattern] = Seq(
+    Patterns.generateChain(1),
+    Patterns.generateChain(2),
+    Patterns.generateChain(3),
+    Patterns.generateStar(3),
+    Patterns.generateClique(3)
+  )
+
+  test("a star whose hub holds more first-level pairs than two per task") {
+    val es = star(2 * tasks + 3)
+    val g = TestGraphs.dataGraph(spark, es)
+    small.foreach(agree(g, LocalRef.graph(es), _))
+    g.unpersist()
+  }
+
+  test("graphs with fewer first-level pairs than tasks") {
+    // With symmetry breaking one edge has 1 pair and a triangle 3.
+    for (es <- Seq(Seq((3L, 9L)), Seq((1L, 2L), (2L, 3L), (1L, 3L)))) {
+      val g = TestGraphs.dataGraph(spark, es)
+      small.foreach(agree(g, LocalRef.graph(es), _))
+      g.unpersist()
+    }
+  }
+
+  test("accepted counts each root once on a star") {
+    val n = 2 * tasks + 3
+    val g = TestGraphs.dataGraph(spark, star(n))
+    val plan = Planner.plan(Patterns.generateStar(3))
+    assert(plan.joinOrder == Vector(1, 2, 3, 4))
+    // Every vertex is a root; the hub's n leaves and each leaf's hub pass
+    // position 1; only the hub's pairs go further, through 2 then 3 distinct
+    // leaves, ordered when symmetry is broken.
+    val pairs = n.toLong * (n - 1)
+    assert(PlanExecutor.run(g, plan).accepted == Vector(n + 1L, 2L * n, pairs / 2, pairs * (n - 2) / 6))
+    assert(PlanExecutor.run(g, plan, symmetry = false).accepted == Vector(n + 1L, 2L * n, pairs, pairs * (n - 2)))
+    g.unpersist()
+  }
+
+  test("exists and countAtLeast on a star") {
+    val n = 2 * tasks + 3
+    val g = TestGraphs.dataGraph(spark, star(n))
+    val edge = Patterns.generateChain(2)
+    val star3 = Patterns.generateStar(3)
+    val star3s = n.toLong * (n - 1) * (n - 2) / 6
+    assert(Existence.exists(g, star3))
+    assert(Existence.countAtLeast(g, star3, star3s))
+    assert(!Existence.countAtLeast(g, star3, star3s + 1))
+    assert(Existence.countAtLeast(g, edge, n))
+    assert(!Existence.countAtLeast(g, edge, n + 1L))
+    assert(!Existence.exists(g, Patterns.generateClique(3)))
+    g.unpersist()
+  }
+
+  test("a query runs one job of defaultParallelism tasks and persists nothing") {
+    val sc = spark.sparkContext
+    val g = TestGraphs.dataGraph(spark, labEdges, labLabels)
+    g.csr
+    g.labelArray
+    val before = sc.getPersistentRDDs.keySet
+    val wedge = Planner.plan(Patterns.generateChain(3))
+    val queries: Seq[(String, () => Any)] = Seq(
+      "run" -> (() => PlanExecutor.run(g, wedge)),
+      "run without symmetry" -> (() => PlanExecutor.run(g, wedge, symmetry = false)),
+      "single vertex" -> (() => PlanExecutor.run(g, Planner.plan(Patterns.generateChain(1)))),
+      "domains" -> (() => PlanExecutor.domains(g, wedge)),
+      "exists" -> (() => Existence.exists(g, Patterns.generateClique(3)))
+    )
+    for ((what, query) <- queries) {
+      val (_, jobs) = jobsDuring(query())
+      assert(jobs.size == 1, what)
+      assert(jobs.head.stageInfos.map(_.numTasks) == Seq(sc.defaultParallelism), what)
+      assert(sc.getPersistentRDDs.keySet == before, what)
+    }
+    g.unpersist()
+  }
+
   test("graphs with no edge and with one edge") {
     val empty = TestGraphs.dataGraph(spark, Seq.empty)
     val single = TestGraphs.dataGraph(spark, Seq((3L, 9L)))

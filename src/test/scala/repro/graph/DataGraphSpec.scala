@@ -1,9 +1,6 @@
 package repro.graph
 
-import java.util.concurrent.{CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.metrics.source.CodegenMetrics
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.catalyst.rules.RuleExecutor
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData, TestGraphs}
@@ -33,8 +30,10 @@ class DataGraphSpec extends SparkSpec {
 
   test("vertex ids are a degree ranking (§5.2: v_i < v_j ⇔ deg ≤ deg)") {
     val g = TestGraphs.dataGraph(spark, TestGraphs.skewed(40, 120, seed = 72))
-    val degs = GraphStats
-      .degreeDf(g)
+    // Degrees read from the `adj` relation, not from the CSR the ranking built.
+    val degs = g.adj
+      .groupBy(col("src") as "v")
+      .agg(count(lit(1)) as "deg")
       .orderBy("v")
       .collect()
       .map(r => (r.getLong(0), r.getLong(1)))
@@ -177,29 +176,6 @@ class DataGraphSpec extends SparkSpec {
     intercept[IllegalArgumentException](DataGraph.fromEdges(spark, raw, Some(Seq((1L, 4), (1L, 5)).toDF("v", "lab"))))
   }
 
-  /** `f`'s result and the number of Spark jobs it started. A marker job run
-    * after `f` bounds the count: listener events arrive in order, so every
-    * job `f` started is seen before the marker.
-    */
-  private def jobsDuring[T](f: => T): (T, Int) = {
-    val sc = spark.sparkContext
-    val started = new AtomicInteger
-    val marker = new CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (Option(e.properties).exists(_.getProperty("repro.marker") != null)) marker.countDown()
-        else if (marker.getCount > 0) started.incrementAndGet()
-    }
-    sc.addSparkListener(listener)
-    try {
-      val out = f
-      sc.setLocalProperty("repro.marker", "1")
-      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty("repro.marker", null)
-      assert(marker.await(60, TimeUnit.SECONDS), "the marker job was not seen")
-      (out, started.get)
-    } finally sc.removeSparkListener(listener)
-  }
-
   /** The benchmark's MI graph at 5 % size as driver-local DataFrames of the
     * generators' zipf edges and skewed labels.
     */
@@ -221,7 +197,7 @@ class DataGraphSpec extends SparkSpec {
     for (name <- d.names) {
       val before = catalystWork
       val (b, jobs) = jobsDuring(d.build(name))
-      assert(jobs == 0, name)
+      assert(jobs.isEmpty, name)
       assert(catalystWork == before, s"$name ran Catalyst rules or code generation")
       assert(b.graph.numEdges > 0, name)
       b.graph.unpersist()
@@ -231,7 +207,7 @@ class DataGraphSpec extends SparkSpec {
     val before = catalystWork
     val (edges, _) = miSmall
     assert(catalystWork._1 > before._1)
-    assert(jobsDuring(DataGraph.fromEdges(spark, edges.repartition(8)))._2 >= 1)
+    assert(jobsDuring(DataGraph.fromEdges(spark, edges.repartition(8)))._2.nonEmpty)
   }
 
   test("a driver-local relation and its repartitioned copy build the same graph") {

@@ -90,7 +90,7 @@ class PatternSpec extends AnyFunSuite {
 
   test("inducedSubgraph keeps edges and labels among the subset") {
     val p = Pattern.fromEdges((1, 2), (2, 3), (3, 4), (2, 4)).addLabel(2, 5)
-    val s = p.inducedSubgraph(Set(2, 3, 4))
+    val s = InducedSubgraph(p, Set(2, 3, 4))
     assert(s.vertices == Vector(2, 3, 4))
     assert(s.edges == Set((2, 3), (3, 4), (2, 4)))
     assert(s.getLabel(2).contains(5))

@@ -1,14 +1,14 @@
 package repro.plan
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.pattern.{Pattern, Patterns}
+import repro.pattern.{InducedSubgraph, Pattern, Patterns}
 
 class VertexCoverSpec extends AnyFunSuite {
 
   private def assertIsConnectedCover(p: Pattern, cover: Set[Int]): Unit = {
     val regularEdges = p.edges.filter { case (u, v) => !p.isAntiVertex(u) && !p.isAntiVertex(v) }
     assert(regularEdges.forall { case (u, v) => cover(u) || cover(v) }, s"$cover does not cover $p")
-    assert(p.inducedSubgraph(cover).regularPartConnected, s"$cover not connected in $p")
+    assert(InducedSubgraph(p, cover).regularPartConnected, s"$cover not connected in $p")
   }
 
   test("single edge: one endpoint") {
@@ -80,7 +80,7 @@ class VertexCoverSpec extends AnyFunSuite {
       val smaller = p.regularVertices.combinations(cover.size - 1).exists { c =>
         val s = c.toSet
         p.edges.forall { case (u, v) => s(u) || s(v) } &&
-        p.inducedSubgraph(s).regularPartConnected
+        InducedSubgraph(p, s).regularPartConnected
       }
       assert(!smaller, s"cover $cover of $p is not minimum")
     }
