@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.{TaskContext, TaskKilledException}
+import org.apache.spark.broadcast.Broadcast
 import org.roaringbitmap.RoaringBitmap
 import scala.reflect.ClassTag
 import repro.graph.{Csr, DataGraph}
@@ -11,16 +12,17 @@ import repro.plan.ExplorationPlan
   * exploration plan, or aggregates their MNI domains, without materializing
   * any of them.
   *
-  * One `mapPartitions` job runs T = `defaultParallelism` tasks, one per
-  * core. The unit of work is a (root, position-1 candidate) pair (§5.2):
-  * every task walks the roots from the highest id down (ids are degree
-  * ranks), applies position 0's checks and cuts position 1's candidate range
-  * as below, and task j binds only the candidates whose running index over
-  * those ranges, counted before any check, is ≡ j (mod T). So a hub root's
-  * pairs spread over every task, and each task numbers the pairs the same
-  * way without sharing state. A single-vertex plan deals its roots the same
-  * way. From a bound pair the task binds the rest of `plan.joinOrder` by
-  * backtracking:
+  * A query is one job of T = `defaultParallelism` tasks, one per core,
+  * submitted with `SparkContext.runJob` and a named task function, so Spark
+  * cleans no closure for it. The unit of work is a (root, position-1
+  * candidate) pair (§5.2): every task walks the roots from the highest id
+  * down (ids are degree ranks), applies position 0's checks and cuts
+  * position 1's candidate range as below, and task j binds only the
+  * candidates whose running index over those ranges, counted before any
+  * check, is ≡ j (mod T). So a hub root's pairs spread over every task, and
+  * each task numbers the pairs the same way without sharing state. A
+  * single-vertex plan deals its roots the same way. From a bound pair the
+  * task binds the rest of `plan.joinOrder` by backtracking:
   *
   *  - a vertex's candidates are the adjacency list of its bound pattern
   *    neighbour of smallest data degree, cut by binary search to the id
@@ -84,13 +86,23 @@ object PlanExecutor {
     val labels = if (labeled || collect) g.labelArray else None
     val sc = g.spark.sparkContext
     val n = sc.defaultParallelism
-    sc.parallelize(0 until n, n)
-      .mapPartitionsWithIndex { (j, _) =>
-        val search = new Search(prog, csr.value, labels.map(_.value).orNull, limit, collect, j, n)
-        search.extend(0)
-        Iterator(out(search))
-      }
-      .collect()
+    sc.runJob(sc.parallelize(0 until n, n), new Task(prog, csr, labels, limit, collect, n, out), 0 until n)
+  }
+
+  /** Task `ctx.partitionId` of `tasks`: runs its search and returns `out` of
+    * it. A named class rather than a lambda, because Spark's closure cleaner
+    * reads and parses the class file of every lambda it cleans and leaves
+    * any other function untouched.
+    */
+  private final class Task[T](
+      prog: Program, csr: Broadcast[Csr], labels: Option[Broadcast[Array[Int]]], limit: Long, collect: Boolean,
+      tasks: Int, out: Search => T
+  ) extends ((TaskContext, Iterator[Int]) => T) with Serializable {
+    def apply(ctx: TaskContext, ignored: Iterator[Int]): T = {
+      val search = new Search(prog, csr.value, labels.map(_.value).orNull, limit, collect, ctx.partitionId, tasks)
+      search.extend(0)
+      out(search)
+    }
   }
 
   /** The plan as arrays over join-order positions; each constraint sits at

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.{SparkSpec, TestGraphs}
-import repro.core.MatchEngine
+import repro.core.{MatchEngine, MniSupport}
 import repro.pattern.Patterns
 
 class HarnessSpec extends SparkSpec {
@@ -29,6 +29,19 @@ class HarnessSpec extends SparkSpec {
     assert(cell == Harness.Cell("x", None))
     assert(sc.statusTracker.getActiveJobIds().isEmpty)
     assert(sc.getPersistentRDDs.keySet == before)
+    g.unpersist()
+  }
+
+  test("an MNI support over budget is cancelled, and the session still counts right") {
+    val sc = spark.sparkContext
+    val g = TestGraphs.dataGraph(spark, TestGraphs.er(200, 8000, seed = 61))
+    val triangles = MatchEngine.countMatches(g, Patterns.generateClique(3))
+    val before = sc.getPersistentRDDs.keySet
+    val cell = Harness.budgeted(spark, "star6-mni", 1)(MniSupport.support(g, Patterns.generateStar(6)).toString)
+    assert(cell == Harness.Cell("x", None))
+    assert(sc.statusTracker.getActiveJobIds().isEmpty)
+    assert(sc.getPersistentRDDs.keySet == before)
+    assert(MatchEngine.countMatches(g, Patterns.generateClique(3)) == triangles)
     g.unpersist()
   }
 }

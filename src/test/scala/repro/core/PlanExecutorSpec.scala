@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{LocalRef, SparkSpec, TestGraphs}
-import repro.apps.EvalPatterns
+import repro.apps.{EvalPatterns, Fsm}
 import repro.graph.DataGraph
 import repro.pattern.{Pattern, Patterns}
 import repro.plan.Planner
@@ -138,12 +138,16 @@ class PlanExecutorSpec extends SparkSpec {
       "run without symmetry" -> (() => PlanExecutor.run(g, wedge, symmetry = false)),
       "single vertex" -> (() => PlanExecutor.run(g, Planner.plan(Patterns.generateChain(1)))),
       "domains" -> (() => PlanExecutor.domains(g, wedge)),
-      "exists" -> (() => Existence.exists(g, Patterns.generateClique(3)))
+      "exists" -> (() => Existence.exists(g, Patterns.generateClique(3))),
+      "labeledSupports" -> (() => MniSupport.labeledSupports(g, Patterns.generateChain(2))),
+      "fsm" -> (() => Fsm.run(spark, g, maxEdges = 1, threshold = 1))
     )
     for ((what, query) <- queries) {
       val (_, jobs) = jobsDuring(query())
       assert(jobs.size == 1, what)
       assert(jobs.head.stageInfos.map(_.numTasks) == Seq(sc.defaultParallelism), what)
+      // The job is submitted on the parallelized partitions themselves, with no mapped RDD.
+      assert(jobs.head.stageInfos.head.rddInfos.size == 1, what)
       assert(sc.getPersistentRDDs.keySet == before, what)
     }
     g.unpersist()
