@@ -16,7 +16,8 @@ import repro.graph.DataGraph.{Edges, Labels}
   * `pmod(xxhash64(id, lit(seed)), 1000000007) / 1000000007.0` would give for
   * row `id` of `spark.range`, followed by Spark's `pow` (`StrictMath.pow`),
   * truncating casts and `least`, so the arrays hold exactly that
-  * expression's rows. The `spark` parameters are unused.
+  * expression's rows. The `spark` parameters are unused: they are kept only
+  * so that the benchmark (`minebench/`), which passes them, still compiles.
   */
 object SynthData {
 

@@ -27,6 +27,11 @@ object Fsm {
     def atSize(edges: Int): Seq[(Pattern, Long)] = frequent.getOrElse(edges, Seq.empty)
   }
 
+  /** The frequent patterns of `g` with 1 to `maxEdges` edges at MNI
+    * support ≥ `threshold`. The queries run on `g`'s session; `spark` is
+    * unused and kept only so that the benchmark (`minebench/`), which
+    * passes it, still compiles.
+    */
   def run(
       spark: SparkSession,
       g: DataGraph,

@@ -1,6 +1,6 @@
 package repro.baseline
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.graph.DataGraph
 import repro.pattern.{Pattern, PatternCodec}
@@ -31,7 +31,6 @@ object BfsEnumerator {
     * systems have (each step prunes non-cliques; Fig 1b).
     */
   def inducedSets(
-      spark: SparkSession,
       g: DataGraph,
       k: Int,
       rstream: Boolean,
@@ -100,13 +99,8 @@ object BfsEnumerator {
   /** Motif counting on top of BFS enumeration: one isomorphism computation
     * per complete set to identify its pattern (the Fig 1c workload).
     */
-  def motifCounts(
-      spark: SparkSession,
-      g: DataGraph,
-      size: Int,
-      rstream: Boolean
-  ): (Map[String, Long], Profile) = {
-    val (sets, p0) = inducedSets(spark, g, size, rstream)
+  def motifCounts(g: DataGraph, size: Int, rstream: Boolean): (Map[String, Long], Profile) = {
+    val (sets, p0) = inducedSets(g, size, rstream)
     val csr = g.csr
     val keyUdf = udf { (vs: Seq[Long]) =>
       IsoCheck.patternKeyAndAssignment(IsoCheck.inducedPattern(vs, csr.value), vs)._1
@@ -119,8 +113,8 @@ object BfsEnumerator {
   }
 
   /** Clique counting on top of BFS enumeration (the Fig 1b workload). */
-  def cliqueCount(spark: SparkSession, g: DataGraph, k: Int, rstream: Boolean): (Long, Profile) = {
-    val (sets, p) = inducedSets(spark, g, k, rstream, cliquesOnly = true)
+  def cliqueCount(g: DataGraph, k: Int, rstream: Boolean): (Long, Profile) = {
+    val (sets, p) = inducedSets(g, k, rstream, cliquesOnly = true)
     val n = sets.count()
     sets.unpersist()
     (n, p)
@@ -132,27 +126,27 @@ object BfsEnumerator {
     * its labeled pattern, aggregate domains over ALL embeddings, and — when
     * a `threshold` is given — drop embeddings of infrequent patterns before
     * the next superstep (anti-monotone pruning, as Arabesque's FSM does).
+    * On a labeled graph an embedding with an unlabeled vertex instantiates
+    * no labeled pattern: it is dropped from the aggregation and the next
+    * superstep, as the engine's label discovery skips it.
     */
-  def fsmSupports(
-      spark: SparkSession,
-      g: DataGraph,
-      kEdges: Int,
-      threshold: Option[Long] = None
-  ): (Seq[(Pattern, Long)], Profile) = {
+  def fsmSupports(g: DataGraph, kEdges: Int, threshold: Option[Long] = None): (Seq[(Pattern, Long)], Profile) = {
     val t = new Tally
     val labels = g.labelArray
 
+    // None (a null struct) for an embedding with an unlabeled vertex.
     val keyUdf = udf { (es: Seq[Long]) =>
       val pairs = es.grouped(2).map(p => (p(0), p(1))).toSeq
-      val (pat, vs) = IsoCheck.edgePattern(pairs, labels.map(_.value).orNull)
-      val (key, assigned) = IsoCheck.patternKeyAndAssignment(pat, vs)
-      (key, assigned)
+      IsoCheck.edgePattern(pairs, labels.map(_.value).orNull).map { case (pat, vs) =>
+        IsoCheck.patternKeyAndAssignment(pat, vs)
+      }
     }
 
     /** Per-level aggregation: supports + optional frequency pruning. */
     def aggregateLevel(level: DataFrame): (Seq[(Pattern, Long)], DataFrame) = {
       val withKey = level
         .withColumn("kv", keyUdf(col("es")))
+        .filter(col("kv").isNotNull)
         .select(col("es"), col("vs"), col("kv._1") as "key", col("kv._2") as "cvs")
         .cache()
       t.isomorphism += withKey.count()

@@ -1,6 +1,6 @@
 package repro.baseline
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.util.LongAccumulator
 import repro.graph.{Csr, DataGraph}
@@ -25,76 +25,78 @@ object DfsEnumerator {
     def toProfile: Profile = Profile(explored.value, canonicality.value, isomorphism.value)
   }
 
-  private def newAccs(spark: SparkSession): Accs =
+  private def newAccs(g: DataGraph): Accs =
     Accs(
-      spark.sparkContext.longAccumulator("dfs.explored"),
-      spark.sparkContext.longAccumulator("dfs.canonicality"),
-      spark.sparkContext.longAccumulator("dfs.isomorphism")
+      g.spark.sparkContext.longAccumulator("dfs.explored"),
+      g.spark.sparkContext.longAccumulator("dfs.canonicality"),
+      g.spark.sparkContext.longAccumulator("dfs.isomorphism")
     )
 
-  /** ESU enumeration of every connected induced `k`-vertex subgraph, one
-    * row per set (column `vs`, the root-first generation order). With
-    * `cliquesOnly`, extension is restricted to common neighbors — Fractal's
-    * native clique support (isomorphism count 0 in Fig 1b).
+  /** ESU (Wernicke, TCBB 2006) from `root` over the graph whose adjacency
+    * is `nbrs`: every connected set of `k` vertices whose smallest is
+    * `root`, each once, in root-first generation order. `adjacent`, when
+    * given, restricts extension to common neighbors of the set — Fractal's
+    * native clique support (isomorphism count 0 in Fig 1b). Every set
+    * visited counts as explored, every candidate tested as a canonicality
+    * check.
     */
-  private def esuFrom(
+  private def esu(
       root: Int,
-      csr: Csr,
       k: Int,
-      cliquesOnly: Boolean,
-      accs: Accs
-  ): Seq[Seq[Long]] = {
-    val out = collection.mutable.ArrayBuffer.empty[Seq[Long]]
+      nbrs: Int => Seq[Int],
+      accs: Accs,
+      adjacent: Option[(Int, Int) => Boolean] = None
+  ): Seq[Seq[Int]] = {
+    val out = collection.mutable.ArrayBuffer.empty[Seq[Int]]
     var explored = 0L
     var checks = 0L
 
-    def nExcl(w: Int, sub: Seq[Int], subNbr: Set[Int]): Seq[Int] =
-      csr.neighbors(w).toSeq.filter { u =>
-        checks += 1
-        u > root && !sub.contains(u) && !subNbr(u)
-      }
-
     def extend(sub: List[Int], ext: List[Int], subNbr: Set[Int]): Unit = {
       explored += 1
-      if (sub.size == k) { out += sub.reverse.map(_.toLong); return }
+      if (sub.size == k) { out += sub.reverse; return }
       var rest = ext
       while (rest.nonEmpty) {
         val w = rest.head
         rest = rest.tail
-        if (!cliquesOnly || sub.forall(u => { checks += 1; csr.hasEdge(u, w) })) {
-          val fresh = nExcl(w, sub, subNbr)
-          extend(w :: sub, rest ++ fresh, subNbr ++ csr.neighbors(w))
+        if (adjacent.forall(a => sub.forall(u => { checks += 1; a(u, w) }))) {
+          val fresh = nbrs(w).filter { u =>
+            checks += 1
+            u > root && !sub.contains(u) && !subNbr(u)
+          }
+          extend(w :: sub, rest ++ fresh, subNbr ++ nbrs(w))
         }
       }
     }
 
-    val initExt = csr.neighbors(root).toSeq.filter { u => checks += 1; u > root }
-    extend(List(root), initExt.toList, csr.neighbors(root).toSet + root)
+    val initExt = nbrs(root).filter { u => checks += 1; u > root }
+    extend(List(root), initExt.toList, nbrs(root).toSet + root)
     accs.explored.add(explored)
     accs.canonicality.add(checks)
     out.toSeq
   }
 
-  def inducedSets(
-      spark: SparkSession,
-      g: DataGraph,
-      k: Int,
-      cliquesOnly: Boolean = false
-  ): (DataFrame, Accs) = {
-    import spark.implicits._
-    val accs = newAccs(spark)
+  /** Every connected induced `k`-vertex subgraph, one row per set (column
+    * `vs`, the root-first generation order), by ESU from each vertex; with
+    * `cliquesOnly`, the `k`-cliques.
+    */
+  def inducedSets(g: DataGraph, k: Int, cliquesOnly: Boolean = false): (DataFrame, Accs) = {
+    import g.spark.implicits._
+    val accs = newAccs(g)
     val csr = g.csr
     val sets = g.vertices
       .select(col("v"))
       .as[Long]
-      .flatMap(root => esuFrom(root.toInt, csr.value, k, cliquesOnly, accs))
+      .flatMap { root =>
+        val c = csr.value
+        esu(root.toInt, k, c.neighbors(_).toSeq, accs, Option.when(cliquesOnly)(c.hasEdge _)).map(_.map(_.toLong))
+      }
       .toDF("vs")
     (sets, accs)
   }
 
   /** Motif counting (vertex-induced): isomorphism computation per set. */
-  def motifCounts(spark: SparkSession, g: DataGraph, size: Int): (Map[String, Long], Profile) = {
-    val (sets, accs) = inducedSets(spark, g, size)
+  def motifCounts(g: DataGraph, size: Int): (Map[String, Long], Profile) = {
+    val (sets, accs) = inducedSets(g, size)
     val csr = g.csr
     val keyUdf = udf { (vs: Seq[Long]) =>
       accs.isomorphism.add(1)
@@ -105,8 +107,8 @@ object DfsEnumerator {
   }
 
   /** Native clique counting (no isomorphism checks, as in Fig 1b). */
-  def cliqueCount(spark: SparkSession, g: DataGraph, k: Int): (Long, Profile) = {
-    val (sets, accs) = inducedSets(spark, g, k, cliquesOnly = true)
+  def cliqueCount(g: DataGraph, k: Int): (Long, Profile) = {
+    val (sets, accs) = inducedSets(g, k, cliquesOnly = true)
     val n = sets.count()
     (n, accs.toProfile)
   }
@@ -116,11 +118,11 @@ object DfsEnumerator {
     * per-subgraph isomorphism computation of a pattern-unaware system —
     * and divide by the automorphism multiplicity.
     */
-  def countPattern(spark: SparkSession, g: DataGraph, p: Pattern): (Long, Profile) = {
-    import spark.implicits._
+  def countPattern(g: DataGraph, p: Pattern): (Long, Profile) = {
+    import g.spark.implicits._
     val k = p.regularVertices.size
     require(p.antiEdges.isEmpty, "baseline pattern matching handles plain patterns only")
-    val (sets, accs) = inducedSets(spark, g, k)
+    val (sets, accs) = inducedSets(g, k)
     val csr = g.csr
     val labels = g.labelArray
     val total = sets
@@ -141,49 +143,25 @@ object DfsEnumerator {
   }
 
   /** FSM: ESU over the line graph (edge-growth DFS), one isomorphism
-    * computation per complete k-edge subgraph, then MNI aggregation.
+    * computation per complete k-edge subgraph whose vertices all carry a
+    * label, then MNI aggregation.
     */
-  def fsmSupports(
-      spark: SparkSession,
-      g: DataGraph,
-      kEdges: Int
-  ): (Seq[(Pattern, Long)], Profile) = {
-    import spark.implicits._
-    val accs = newAccs(spark)
+  def fsmSupports(g: DataGraph, kEdges: Int): (Seq[(Pattern, Long)], Profile) = {
+    import g.spark.implicits._
+    val accs = newAccs(g)
     val labels = g.labelArray
-    val idxB = spark.sparkContext.broadcast(EdgeIndex(g.csr.value))
+    val idxB = g.spark.sparkContext.broadcast(EdgeIndex(g.csr.value))
 
-    val keyed = spark
+    val keyed = g.spark
       .range(idxB.value.edges.length)
       .as[Long]
-      .flatMap { rootId =>
+      .flatMap { root =>
         val idx = idxB.value
-        def nbrs(eid: Int): Seq[Int] = {
-          val (u, v) = idx.edges(eid)
-          (idx.incidentEdges(u) ++ idx.incidentEdges(v)).toSeq.filter(_ != eid)
-        }
-        val out = collection.mutable.ArrayBuffer.empty[Seq[Int]]
-        var explored = 0L; var checks = 0L
-        def extend(sub: List[Int], ext: List[Int], subNbr: Set[Int]): Unit = {
-          explored += 1
-          if (sub.size == kEdges) { out += sub.reverse; return }
-          var rest = ext
-          while (rest.nonEmpty) {
-            val w = rest.head
-            rest = rest.tail
-            val fresh = nbrs(w).filter { u => checks += 1; u > rootId && !sub.contains(u) && !subNbr(u) }
-            extend(w :: sub, rest ++ fresh, subNbr ++ nbrs(w))
+        esu(root.toInt, kEdges, idx.neighbors, accs).flatMap { eids =>
+          IsoCheck.edgePattern(eids.map(idx.edges), labels.map(_.value).orNull).map { case (pat, vs) =>
+            accs.isomorphism.add(1)
+            IsoCheck.patternKeyAndAssignment(pat, vs)
           }
-        }
-        val root = rootId.toInt
-        val initExt = nbrs(root).filter { u => checks += 1; u > rootId }
-        extend(List(root), initExt.toList, nbrs(root).toSet + root)
-        accs.explored.add(explored); accs.canonicality.add(checks)
-        out.toSeq.map { eids =>
-          accs.isomorphism.add(1)
-          val es = eids.map(idx.edges)
-          val (pat, vs) = IsoCheck.edgePattern(es, labels.map(_.value).orNull)
-          IsoCheck.patternKeyAndAssignment(pat, vs)
         }
       }
       .toDF("key", "vs")
@@ -196,7 +174,11 @@ object DfsEnumerator {
     * edge-growth ESU: edge ids follow sorted canonical (src < dst) order.
     */
   private final case class EdgeIndex(edges: Array[(Long, Long)], incident: Map[Long, Array[Int]]) {
-    def incidentEdges(v: Long): Array[Int] = incident.getOrElse(v, Array.empty[Int])
+    /** The edges sharing an endpoint with edge `eid`: its line-graph neighbors. */
+    def neighbors(eid: Int): Seq[Int] = {
+      val (u, v) = edges(eid)
+      (incident(u) ++ incident(v)).toSeq.filter(_ != eid)
+    }
   }
 
   private object EdgeIndex {

@@ -1,6 +1,5 @@
 package repro.baseline
 
-import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import repro.graph.DataGraph
 
@@ -24,7 +23,7 @@ object GMinerStyle {
   /** Purpose-built 3-clique counting: task v proposes each ordered pair of
     * higher-id neighbors and verifies closure against the edge table.
     */
-  def triangleCount(spark: SparkSession, g: DataGraph): Long = {
+  def triangleCount(g: DataGraph): Long = {
     val t = tasks(g).cache()
     try {
       val pairs = t
@@ -43,7 +42,7 @@ object GMinerStyle {
     * Labels are applied at the end — G-Miner's label index lives inside its
     * hand-written task logic, which this generic task pipeline models.
     */
-  def countP2(spark: SparkSession, g: DataGraph, l1: Int, l2: Int, l3: Int, l4: Int): Long = {
+  def countP2(g: DataGraph, l1: Int, l2: Int, l3: Int, l4: Int): Long = {
     require(Set(l1, l2, l3).size == 3, "triangle corner labels must be distinct for role assignment")
     val labels = g.labels.getOrElse(throw new IllegalArgumentException("p2 matching needs a labeled graph"))
     val t = tasks(g).cache()

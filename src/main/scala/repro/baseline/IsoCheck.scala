@@ -14,15 +14,9 @@ import repro.pattern.{CanonicalForm, Pattern, PatternCodec}
   * All helpers here run per explored subgraph inside baseline tasks, which
   * is exactly how the profiled systems of Fig 1 spend their time. They read
   * the graph's broadcast `Csr` (vertex ids are its dense ids) and its label
-  * array, where a vertex with no label reads as label -1.
+  * array.
   */
 object IsoCheck {
-
-  /** Label of `v` in `labels` (a `DataGraph.labelArray`, or null for an
-    * unlabeled graph); -1 where there is none.
-    */
-  private def label(labels: Array[Int], v: Long): Int =
-    if (labels == null || labels(v.toInt) == Csr.NoLabel) -1 else labels(v.toInt)
 
   private def connected(csr: Csr, u: Long, v: Long): Boolean = csr.hasEdge(u.toInt, v.toInt)
 
@@ -65,19 +59,19 @@ object IsoCheck {
 
   /** Labeled pattern formed by an explicit edge list over data vertices
     * (edge-induced subgraph, used by FSM baselines): positions follow sorted
-    * vertex order.
+    * vertex order, and each carries its vertex's label from `labels` (a
+    * `DataGraph.labelArray`, or null for an unlabeled graph, which gives an
+    * unlabeled pattern). `None` when a vertex of a labeled graph has no
+    * label: like the engine's label discovery, FSM skips such a subgraph.
     */
-  def edgePattern(es: Seq[(Long, Long)], labels: Array[Int]): (Pattern, Seq[Long]) = {
+  def edgePattern(es: Seq[(Long, Long)], labels: Array[Int]): Option[(Pattern, Seq[Long])] = {
     val vs = es.flatMap { case (u, v) => Seq(u, v) }.distinct.sorted
-    val pos = vs.zipWithIndex.map { case (v, i) => v -> (i + 1) }.toMap
-    val base = Pattern(
-      Vector.range(1, vs.size + 1),
-      es.map { case (u, v) => Pattern.norm(pos(u), pos(v)) }.toSet,
-      Set.empty,
-      Map.empty
-    )
-    val p = vs.zipWithIndex.foldLeft(base) { case (acc, (v, i)) => acc.addLabel(i + 1, label(labels, v)) }
-    (p, vs)
+    val labs = if (labels == null) Seq.empty else vs.map(v => labels(v.toInt))
+    Option.when(!labs.contains(Csr.NoLabel)) {
+      val pos = vs.zipWithIndex.map { case (v, i) => v -> (i + 1) }.toMap
+      val edges = es.map { case (u, v) => Pattern.norm(pos(u), pos(v)) }.toSet
+      (Pattern(Vector.range(1, vs.size + 1), edges, Set.empty, labs.indices.map(i => (i + 1) -> labs(i)).toMap), vs)
+    }
   }
 
   /** Canonical pattern key + canonically-ordered vertex assignment for a

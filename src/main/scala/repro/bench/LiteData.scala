@@ -6,14 +6,15 @@ import repro.graph.{DataGraph, GraphGen}
 /** Lazily-built evaluation datasets shared by the table runners. Each lite
   * graph is built on first use, together with its broadcast CSR and label
   * array, and kept for the JVM, which runs the tables `Main` is given in
-  * turn. `build` reports what each step took.
+  * turn. `build` reports what each step took. Every graph runs its queries
+  * on `spark`.
   */
-final class LiteData(spark: SparkSession, val scale: Double = GraphGen.scaleFromEnv) {
+final class LiteData(val spark: SparkSession, val scale: Double = GraphGen.scaleFromEnv) {
   import LiteData.Build
 
   private val builds = collection.mutable.Map.empty[String, Build]
 
-  private val makers = collection.immutable.ListMap[String, () => GraphGen.Lite](
+  private val makers = collection.immutable.ListMap[String, () => DataGraph](
     "MI" -> (() => GraphGen.miLite(spark, scale)),
     "PA" -> (() => GraphGen.paLite(spark, scale)),
     "PA-L" -> (() => GraphGen.paLiteLabeled(spark, scale)),
@@ -30,7 +31,7 @@ final class LiteData(spark: SparkSession, val scale: Double = GraphGen.scaleFrom
   /** The graph called `name`, built on first use. */
   def build(name: String): Build = synchronized {
     builds.getOrElseUpdate(name, {
-      val (g, buildS) = Harness.time(makers(name)().graph)
+      val (g, buildS) = Harness.time(makers(name)())
       val csrS = Harness.time(g.csr)._2
       val labelsS = if (g.labeled) Some(Harness.time(g.labelArray)._2) else None
       Build(name, g, buildS, csrS, labelsS)

@@ -19,8 +19,8 @@ import org.apache.spark.sql.SparkSession
   */
 object Main {
 
-  private val tables: Map[String, (SparkSession, LiteData) => (String, Seq[Tables.Row])] = Map(
-    "builds" -> ((_, d) => Tables.builds(d, d.names)),
+  private val tables: Map[String, LiteData => (String, Seq[Tables.Row])] = Map(
+    "builds" -> (d => Tables.builds(d, d.names)),
     "table2" -> Tables.table2,
     "table3" -> Tables.table3,
     "table4" -> Tables.table4,
@@ -45,7 +45,7 @@ object Main {
       try {
         val d = new LiteData(spark)
         args.count { name =>
-          val (rendered, rows) = tables(name)(spark, d)
+          val (rendered, rows) = tables(name)(d)
           println(rendered)
           val failures = Tables.check(name, rows)
           failures.foreach(f => Console.err.println(s"[check] $name: $f"))

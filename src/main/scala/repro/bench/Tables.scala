@@ -1,6 +1,5 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
 import repro.apps.{CliqueCount, ClusteringCoeff, EvalPatterns, Fsm, MotifCount}
 import repro.baseline.{BfsEnumerator, DfsEnumerator, GMinerStyle, Profile}
 import repro.core.{Existence, MatchEngine, PlanExecutor, VertexInduced}
@@ -37,9 +36,9 @@ object Tables {
   private val fsmTausPa = Seq(400L, 500L, 600L)
   private val fig10Tau = 60L
 
-  /** `f` as job group `label`, under `scale` × the budget. */
-  private def cell(spark: SparkSession, label: String, scale: Int = 1)(f: => String): Cell =
-    Harness.budgeted(spark, label, budget * scale)(f)
+  /** `f` as job group `label` on `d`'s session, under `scale` × the budget. */
+  private def cell(d: LiteData, label: String, scale: Int = 1)(f: => String): Cell =
+    Harness.budgeted(d.spark, label, budget * scale)(f)
 
   // PRG cells repeat across Tables 3/4 and Fig 10 (as in the paper, which
   // prints the same PRG column in several tables) — measure each once.
@@ -47,18 +46,18 @@ object Tables {
 
   // PRG gets 3× the per-cell budget: unlike baseline timeouts (which mirror
   // the paper's ×), a PRG timeout only reflects the harness schedule.
-  private def prgCell(spark: SparkSession, label: String)(f: => String): Cell =
-    prgMemo.getOrElseUpdate(label, cell(spark, label, 3)(f))
+  private def prgCell(d: LiteData, label: String)(f: => String): Cell =
+    prgMemo.getOrElseUpdate(label, cell(d, label, 3)(f))
 
   /** A row of PRG's cell `prg-<key>-<g>`, then one cell per baseline:
     * `system -> Some(f)` runs `f` as `<system>-<key>-<g>` under `scale` ×
     * the budget, `system -> None` reads 'np'.
     */
-  private def vsRow(spark: SparkSession, app: String, key: String, g: String, prg: => String, scale: Int = 1)(
+  private def vsRow(d: LiteData, app: String, key: String, g: String, prg: => String, scale: Int = 1)(
       baselines: (String, Option[() => String])*): Row = {
-    val prgC = prgCell(spark, s"prg-$key-$g")(prg)
+    val prgC = prgCell(d, s"prg-$key-$g")(prg)
     (app, g, ("PRG" -> prgC) +: baselines.map { case (system, f) =>
-      system -> f.fold(skip)(run => cell(spark, s"${system.toLowerCase}-$key-$g", scale)(run()))
+      system -> f.fold(skip)(run => cell(d, s"${system.toLowerCase}-$key-$g", scale)(run()))
     })
   }
 
@@ -150,7 +149,7 @@ object Tables {
 
   // -------------------------------------------------------------- Table 2
 
-  def table2(spark: SparkSession, d: LiteData): (String, Seq[Row]) = afterBuilds(d, "MI", "PA", "PA-L", "OK", "FR") {
+  def table2(d: LiteData): (String, Seq[Row]) = afterBuilds(d, "MI", "PA", "PA-L", "OK", "FR") {
     val datasets = Seq(
       ("MI (labeled)", d.mi),
       ("PA unlabeled", d.pa),
@@ -174,8 +173,8 @@ object Tables {
     */
   private def fsm3(r: Fsm.Result): String = s"${r.atSize(3).size}f3"
 
-  private def prgFsm(spark: SparkSession, g: DataGraph, tau: Long): String =
-    fsm3(Fsm.run(spark, g, maxEdges = 3, threshold = tau))
+  private def prgFsm(g: DataGraph, tau: Long): String =
+    fsm3(Fsm.run(g.spark, g, maxEdges = 3, threshold = tau))
 
   /** A pattern-unaware baseline of Tables 3 and 4: its motif total, clique
     * count and number of frequent 3-edge patterns; `fsm` is None where the
@@ -187,12 +186,12 @@ object Tables {
   /** Motif, clique and FSM rows of PRG against `baselines`. Each row runs
     * the baselines it is given; the others read 'np'.
     */
-  private final class Versus(spark: SparkSession, baselines: Baseline*) {
+  private final class Versus(d: LiteData, baselines: Baseline*) {
     val systems: Seq[String] = "PRG" +: baselines.map(_.system)
 
     private def row(app: String, key: String, name: String, prg: => String, scale: Int = 1)(
         run: Baseline => Option[() => String]): Row =
-      vsRow(spark, app, key, name, prg, scale)(baselines.map(b => b.system -> run(b)): _*)
+      vsRow(d, app, key, name, prg, scale)(baselines.map(b => b.system -> run(b)): _*)
 
     def motifs(g: DataGraph, name: String, size: Int, on: Baseline*): Row =
       row(s"$size-Motifs", s"m$size", name, MotifCount.total(g, size).toString)(
@@ -204,22 +203,22 @@ object Tables {
 
     // FSM runs many match rounds; its baseline cells get 3× the budget.
     def fsm(g: DataGraph, name: String, tau: Long, on: Baseline*): Row =
-      row(s"FSM tau=$tau", s"fsm$tau", name, prgFsm(spark, g, tau), scale = 3)(
+      row(s"FSM tau=$tau", s"fsm$tau", name, prgFsm(g, tau), scale = 3)(
         b => b.fsm.filter(_ => on.contains(b)).map(f => () => s"${f(g, tau)}f3"))
   }
 
   // -------------------------------------------------------------- Table 3
 
   /** PRG vs breadth-first systems (Arabesque / RStream proxies). */
-  def table3(spark: SparkSession, d: LiteData): (String, Seq[Row]) = afterBuilds(d, "MI", "PA", "PA-L", "OK", "FR") {
+  def table3(d: LiteData): (String, Seq[Row]) = afterBuilds(d, "MI", "PA", "PA-L", "OK", "FR") {
     def bfs(system: String, rstream: Boolean, fsm: Boolean) = Baseline(system,
-      (g, size) => BfsEnumerator.motifCounts(spark, g, size, rstream)._1.values.sum,
-      (g, k) => BfsEnumerator.cliqueCount(spark, g, k, rstream)._1,
-      Option.when(fsm)((g, tau) => BfsEnumerator.fsmSupports(spark, g, 3, Some(tau))._1.count(_._2 >= tau)))
+      (g, size) => BfsEnumerator.motifCounts(g, size, rstream)._1.values.sum,
+      (g, k) => BfsEnumerator.cliqueCount(g, k, rstream)._1,
+      Option.when(fsm)((g, tau) => BfsEnumerator.fsmSupports(g, 3, Some(tau))._1.count(_._2 >= tau)))
     val abq = bfs("ABQ", rstream = false, fsm = true)
     // paper: RStream OOMs on MI FSM; PA FSM modeled by the same BFS proxy
     val rs = bfs("RS", rstream = true, fsm = false)
-    val vs = new Versus(spark, abq, rs)
+    val vs = new Versus(d, abq, rs)
 
     val rows =
       Seq(
@@ -245,16 +244,16 @@ object Tables {
   // -------------------------------------------------------------- Table 4
 
   /** PRG vs depth-first (Fractal proxy). */
-  def table4(spark: SparkSession, d: LiteData): (String, Seq[Row]) = afterBuilds(d, "MI", "PA", "PA-L") {
+  def table4(d: LiteData): (String, Seq[Row]) = afterBuilds(d, "MI", "PA", "PA-L") {
     val fcl = Baseline("FCL",
-      (g, size) => DfsEnumerator.motifCounts(spark, g, size)._1.values.sum,
-      (g, k) => DfsEnumerator.cliqueCount(spark, g, k)._1,
-      Some((g, tau) => DfsEnumerator.fsmSupports(spark, g, 3)._1.count(_._2 >= tau)))
-    val vs = new Versus(spark, fcl)
+      (g, size) => DfsEnumerator.motifCounts(g, size)._1.values.sum,
+      (g, k) => DfsEnumerator.cliqueCount(g, k)._1,
+      Some((g, tau) => DfsEnumerator.fsmSupports(g, 3)._1.count(_._2 >= tau)))
+    val vs = new Versus(d, fcl)
 
     def matchRow(name: String, g: DataGraph)(pname: String, p: Pattern): Row =
-      vsRow(spark, s"Match $pname", pname, name, MatchEngine.countMatches(g, p).toString)(
-        "FCL" -> Some(() => DfsEnumerator.countPattern(spark, g, p)._1.toString))
+      vsRow(d, s"Match $pname", pname, name, MatchEngine.countMatches(g, p).toString)(
+        "FCL" -> Some(() => DfsEnumerator.countPattern(g, p)._1.toString))
 
     val rows =
       Seq(3, 4).flatMap(size => Seq(vs.motifs(d.mi, "MI", size, fcl), vs.motifs(d.pa, "PA", size, fcl))) ++
@@ -270,19 +269,19 @@ object Tables {
   // -------------------------------------------------------------- Table 5
 
   /** PRG vs task-oriented purpose-built (G-Miner proxy). */
-  def table5(spark: SparkSession, d: LiteData): (String, Seq[Row]) =
+  def table5(d: LiteData): (String, Seq[Row]) =
     afterBuilds(d, "MI", "PA", "PA-L", "OK", "FR", "OK-L6", "FR-L6") {
     val cliqueGraphs = Seq(("MI", d.mi), ("PA", d.pa), ("OK", d.ok), ("FR", d.fr))
     val p2Graphs = Seq(("MI", d.mi), ("PA", d.paL), ("OK", d.okL), ("FR", d.frL))
 
     val rows =
       cliqueGraphs.map { case (name, g) =>
-        vsRow(spark, "3-Cliques", "c3", name, CliqueCount.count(g, 3).toString)(
-          "GM" -> Some(() => GMinerStyle.triangleCount(spark, g).toString))
+        vsRow(d, "3-Cliques", "c3", name, CliqueCount.count(g, 3).toString)(
+          "GM" -> Some(() => GMinerStyle.triangleCount(g).toString))
       } ++
         p2Graphs.map { case (name, g) =>
-          vsRow(spark, "Match p2", "p2", name, MatchEngine.countMatches(g, EvalPatterns.p2).toString)(
-            "GM" -> Some(() => GMinerStyle.countP2(spark, g, 0, 1, 2, 3).toString))
+          vsRow(d, "Match p2", "p2", name, MatchEngine.countMatches(g, EvalPatterns.p2).toString)(
+            "GM" -> Some(() => GMinerStyle.countP2(g, 0, 1, 2, 3).toString))
         }
     (renderTable("Table 5: PRG vs task-oriented (GM=G-Miner proxy)", Seq("PRG", "GM"), rows), rows)
   }
@@ -290,12 +289,12 @@ object Tables {
   // -------------------------------------------------------------- Table 6
 
   /** Constraint mining: anti-vertex p7, anti-edge p8, clique existence. */
-  def table6(spark: SparkSession, d: LiteData): (String, Seq[Row]) =
+  def table6(d: LiteData): (String, Seq[Row]) =
     afterBuilds(d, "MI", "PA", "OK", "FR", "OK+K6") {
     // Untimed, so p7 on MI is not the JVM's first executor query (JIT warm-up).
     MatchEngine.countMatches(d.mi, EvalPatterns.p7)
     def prg(app: String, g: String, label: String)(f: => String): Row =
-      (app, g, Seq("PRG" -> cell(spark, label)(f)))
+      (app, g, Seq("PRG" -> cell(d, label)(f)))
     val graphs = Seq(("MI", d.mi), ("PA", d.pa), ("OK", d.ok), ("FR", d.fr))
 
     val rows =
@@ -318,16 +317,16 @@ object Tables {
   // -------------------------------------------------------------- Fig 10
 
   /** Symmetry breaking on/off (PRG vs PRG-U), backing Table 1's PRG-U column. */
-  def fig10(spark: SparkSession, d: LiteData): (String, Seq[Row]) = afterBuilds(d, "MI", "PA") {
+  def fig10(d: LiteData): (String, Seq[Row]) = afterBuilds(d, "MI", "PA") {
     // Untimed, so PRG's cell is not the JVM's first 4-motif count (JIT warm-up).
     MotifCount.total(d.mi, 4)
     val rows =
       Seq(("MI", d.mi), ("PA", d.pa)).map { case (name, g) =>
-        vsRow(spark, "4-Motifs", "m4", name, MotifCount.total(g, 4).toString)(
+        vsRow(d, "4-Motifs", "m4", name, MotifCount.total(g, 4).toString)(
           "PRG-U" -> Some(() => MotifCount.total(g, 4, symmetry = false).toString))
       } :+
-        vsRow(spark, s"FSM tau=$fig10Tau", s"fsm$fig10Tau", "MI", prgFsm(spark, d.mi, fig10Tau), scale = 3)(
-          "PRG-U" -> Some(() => fsm3(Fsm.run(spark, d.mi, maxEdges = 3, threshold = fig10Tau, symmetry = false))))
+        vsRow(d, s"FSM tau=$fig10Tau", s"fsm$fig10Tau", "MI", prgFsm(d.mi, fig10Tau), scale = 3)(
+          "PRG-U" -> Some(() => fsm3(Fsm.run(d.spark, d.mi, maxEdges = 3, threshold = fig10Tau, symmetry = false))))
     (renderTable("Fig 10: benefit of symmetry breaking (PRG vs PRG-U)", Seq("PRG", "PRG-U"), rows), rows)
   }
 
@@ -336,7 +335,7 @@ object Tables {
   /** Fig 1b/1c-style profiles: matches explored / canonicality / isomorphism
     * computations vs result size, on the PA-lite graph.
     */
-  def fig1(spark: SparkSession, d: LiteData): (String, Seq[Row]) = afterBuilds(d, "PA") {
+  def fig1(d: LiteData): (String, Seq[Row]) = afterBuilds(d, "PA") {
     val g = d.pa
     // PRG's explored count: the partial matches its executor accepted at
     // every join-order position, so non-matching prefixes count too.
@@ -344,7 +343,7 @@ object Tables {
       val rs = ps.map(p => PlanExecutor.run(g, Planner.plan(p)))
       (rs.map(_.count).sum, Profile(rs.map(_.accepted.sum).sum, 0, 0))
     }
-    def profile(label: String)(run: => (Long, Profile)): Cell = cell(spark, label) {
+    def profile(label: String)(run: => (Long, Profile)): Cell = cell(d, label) {
       val (n, p) = run
       val ratio = if (n == 0) "-" else f"${p.explored.toDouble / n}%.1fx"
       s"explored=${p.explored} ($ratio) canon=${p.canonicality} iso=${p.isomorphism}"
@@ -353,15 +352,15 @@ object Tables {
     val rows = Seq(
       ("4-Clique profile", "PA", Seq(
         "PRG" -> profile("prg-prof-c4")(prg(Seq(Patterns.generateClique(4)))),
-        "RS" -> profile("rs-prof-c4")(BfsEnumerator.cliqueCount(spark, g, 4, rstream = true)),
-        "ABQ" -> profile("abq-prof-c4")(BfsEnumerator.cliqueCount(spark, g, 4, rstream = false)),
-        "FCL" -> profile("fcl-prof-c4")(DfsEnumerator.cliqueCount(spark, g, 4))
+        "RS" -> profile("rs-prof-c4")(BfsEnumerator.cliqueCount(g, 4, rstream = true)),
+        "ABQ" -> profile("abq-prof-c4")(BfsEnumerator.cliqueCount(g, 4, rstream = false)),
+        "FCL" -> profile("fcl-prof-c4")(DfsEnumerator.cliqueCount(g, 4))
       )),
       ("3-Motif profile", "PA", Seq(
         "PRG" -> profile("prg-prof-m3")(prg(Patterns.generateAllVertexInduced(3).map(VertexInduced.toEdgeInduced))),
-        "RS" -> profile("rs-prof-m3")(motifs(BfsEnumerator.motifCounts(spark, g, 3, rstream = true))),
-        "ABQ" -> profile("abq-prof-m3")(motifs(BfsEnumerator.motifCounts(spark, g, 3, rstream = false))),
-        "FCL" -> profile("fcl-prof-m3")(motifs(DfsEnumerator.motifCounts(spark, g, 3)))
+        "RS" -> profile("rs-prof-m3")(motifs(BfsEnumerator.motifCounts(g, 3, rstream = true))),
+        "ABQ" -> profile("abq-prof-m3")(motifs(BfsEnumerator.motifCounts(g, 3, rstream = false))),
+        "FCL" -> profile("fcl-prof-m3")(motifs(DfsEnumerator.motifCounts(g, 3)))
       ))
     )
     (renderTable("Fig 1: profiling (explored/canonicality/isomorphism vs result)",

@@ -12,10 +12,15 @@ import org.apache.spark.sql.types.{DataType, IntegerType, LongType, StructField,
   * paper's degree-based load-balancing order, and "high-to-low" exploration
   * corresponds to descending ids.
   *
-  * The graph is held on the driver as a `Csr` over those ids, a label per
-  * id (`Csr.NoLabel` where none) and the original id of each id. The plan
-  * executor and the pattern-unaware baselines read the first two as
-  * broadcasts (`csr`, `labelArray`), sent on first use.
+  * A graph is built by `DataGraph.fromEdges` from driver arrays
+  * (`Edges`, `Labels`), and is held on the driver as a `Csr` over those
+  * ids, a label per id (`Csr.NoLabel` where none) and the original id of
+  * each id. The plan executor and the pattern-unaware baselines read the
+  * first two as broadcasts (`csr`, `labelArray`), sent on first use.
+  *
+  * A graph belongs to the session `spark` it was built on: every query on
+  * it (jobs, broadcasts, accumulators, the relations below) runs there, so
+  * no query takes a session of its own.
   *
   * The relational views are DataFrames over the same arrays, made on first
   * use and never cached (a scan regenerates its rows from the arrays):
@@ -189,32 +194,6 @@ object DataGraph {
     }
 
     new DataGraph(spark, Csr.fromPackedEdges(n, ranked), labelArr, origIds)
-  }
-
-  /** `fromEdges` over DataFrames: a raw edge list with integral columns
-    * src, dst and optional labels with integral columns v, lab. Each is
-    * read with one `Dataset.collect`, as given (no Catalyst operator is
-    * added, so the collect compiles as little as possible), rows with a
-    * null skipped; the arrays then go through the array `fromEdges`. A
-    * driver-local relation is collected without a Spark job; any other
-    * input costs one job per collect.
-    */
-  def fromEdges(spark: SparkSession, rawEdges: DataFrame, rawLabels: Option[DataFrame] = None): DataGraph = {
-    val (src, dst) = collectPairs(rawEdges, "src", "dst")
-    val labels = rawLabels.map { lf =>
-      val (v, lab) = collectPairs(lf, "v", "lab")
-      Labels(v, lab.map(_.toInt))
-    }
-    fromEdges(spark, Edges(src, dst), labels)
-  }
-
-  /** The integral columns `a` and `b` of `df`'s rows that have a value in
-    * both, read with one collect.
-    */
-  private def collectPairs(df: DataFrame, a: String, b: String): (Array[Long], Array[Long]) = {
-    val (ac, bc) = (df.schema.fieldIndex(a), df.schema.fieldIndex(b))
-    val rows = df.collect().filter(r => !r.isNullAt(ac) && !r.isNullAt(bc))
-    (rows.map(_.getAs[Number](ac).longValue), rows.map(_.getAs[Number](bc).longValue))
   }
 
   /** Removes repeats from the sorted `xs` in place; returns the distinct count. */

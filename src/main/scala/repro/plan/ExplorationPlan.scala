@@ -6,10 +6,13 @@ import repro.pattern.Pattern
   * canonical matches of `pattern` by guided traversal, with no per-match
   * canonicality or isomorphism checks.
   *
+  * It holds only what the executor reads. The symmetry-breaking partial
+  * orders (`SymmetryBreaking.breakSymmetry`) and the core p_C
+  * (`VertexCover.minConnectedCover`) are computed by those functions.
+  *
   * @param pattern        the full pattern (with anti-edges / anti-vertices)
-  * @param partialOrders  symmetry-breaking constraints (a, b) ⇒ m(a) < m(b)
-  * @param orderClosure   transitive closure of `partialOrders`
-  * @param core           minimum connected vertex cover inducing p_C
+  * @param orderClosure   transitive closure of the symmetry-breaking
+  *                       constraints (a, b) ⇒ m(a) < m(b)
   * @param joinOrder      connectivity-respecting order over the regular
   *                       vertices (core first) used by the dataflow engine —
   *                       see MatchEngine for why a single order under the
@@ -21,9 +24,7 @@ import repro.pattern.Pattern
   */
 final case class ExplorationPlan(
     pattern: Pattern,
-    partialOrders: Seq[(Int, Int)],
     orderClosure: Set[(Int, Int)],
-    core: Set[Int],
     joinOrder: Vector[Int],
     multiplicity: Long
 )
@@ -41,10 +42,8 @@ object Planner {
       )
 
     val (partialOrders, multiplicity) = SymmetryBreaking.breakSymmetry(p)
-    val closure = SymmetryBreaking.closure(partialOrders)
-    val core = VertexCover.minConnectedCover(p)
-    val joinOrder = computeJoinOrder(p, core)
-    ExplorationPlan(p, partialOrders, closure, core, joinOrder, multiplicity)
+    val joinOrder = computeJoinOrder(p, VertexCover.minConnectedCover(p))
+    ExplorationPlan(p, SymmetryBreaking.closure(partialOrders), joinOrder, multiplicity)
   }
 
   /** Connectivity-respecting order: BFS over p_C's regular edges from its

@@ -18,10 +18,8 @@ import repro.pattern.{Automorphism, Pattern}
   */
 object SymmetryBreaking {
 
-  /** Ordering constraints (a, b) ⇒ m(a) < m(b). */
-  def partialOrders(p: Pattern): Seq[(Int, Int)] = breakSymmetry(p)._1
-
-  /** Ordering constraints and the regular multiplicity of `p`.
+  /** Ordering constraints (a, b) ⇒ m(a) < m(b) and the regular
+    * multiplicity of `p`.
     *
     * Regular vertices are fixed in order. Each one's orbit under the
     * pointwise stabilizer of the vertices fixed so far is found by asking,

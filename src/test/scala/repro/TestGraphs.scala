@@ -62,12 +62,12 @@ object TestGraphs {
       spark: SparkSession,
       edges: Seq[(Long, Long)],
       labels: Map[Long, Int] = Map.empty
-  ): DataGraph = {
-    import spark.implicits._
-    val edf = edges.toDF("src", "dst")
-    val ldf =
-      if (labels.isEmpty) None
-      else Some(labels.toSeq.map { case (v, l) => (v, l) }.toDF("v", "lab"))
-    DataGraph.fromEdges(spark, edf, ldf)
-  }
+  ): DataGraph = fromRows(spark, edges, Option.when(labels.nonEmpty)(labels.toSeq))
+
+  /** Build the DataGraph substrate from edge rows and label rows, repeats
+    * and all, as `DataGraph.fromEdges`'s arrays.
+    */
+  def fromRows(spark: SparkSession, edges: Seq[(Long, Long)], labels: Option[Seq[(Long, Int)]]): DataGraph =
+    DataGraph.fromEdges(spark, DataGraph.Edges(edges.map(_._1).toArray, edges.map(_._2).toArray),
+      labels.map(ls => DataGraph.Labels(ls.map(_._1).toArray, ls.map(_._2).toArray)))
 }

@@ -51,7 +51,7 @@ class TablesSpec extends SparkSpec {
   }
 
   test("Table 2 over 5 %-size lite graphs passes its check") {
-    val (rendered, rows) = Tables.table2(spark, new LiteData(spark, 0.05))
+    val (rendered, rows) = Tables.table2(new LiteData(spark, 0.05))
     assert(rendered.contains("Table 2"))
     assert(Tables.check("table2", rows).isEmpty)
   }

@@ -100,7 +100,7 @@ class ExistenceSpec extends SparkSpec {
     import spark.implicits._
     for ((edges, what) <- Seq((TestGraphs.er(40, 100, seed = 51), "er"), (TestGraphs.skewed(40, 120, seed = 52), "skewed"))) {
       val raw = edges.toDF("src", "dst")
-      val cc = ClusteringCoeff.coefficient(DataGraph.fromEdges(spark, raw))
+      val cc = ClusteringCoeff.coefficient(TestGraphs.dataGraph(spark, edges))
       Oracle.assertEquivalent(
         spark.range(1).select(lit(cc) as "cc"),
         """WITH e AS (SELECT DISTINCT least(CAST(src AS BIGINT), CAST(dst AS BIGINT)) AS a,

@@ -3,7 +3,7 @@ package repro.graph
 import org.apache.spark.metrics.source.CodegenMetrics
 import org.apache.spark.sql.catalyst.rules.RuleExecutor
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, SynthData, TestGraphs}
+import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.apps.{CliqueCount, Fsm}
 import repro.bench.LiteData
 import repro.core.Existence
@@ -13,9 +13,7 @@ import repro.pattern.Patterns
 class DataGraphSpec extends SparkSpec {
 
   test("self loops and duplicate edges are removed") {
-    import spark.implicits._
-    val raw = Seq((1L, 2L), (2L, 1L), (1L, 1L), (2L, 3L), (2L, 3L)).toDF("src", "dst")
-    val g = DataGraph.fromEdges(spark, raw)
+    val g = TestGraphs.fromRows(spark, Seq((1L, 2L), (2L, 1L), (1L, 1L), (2L, 3L), (2L, 3L)), None)
     assert(g.numEdges == 2)
     assert(g.numVertices == 3)
   }
@@ -56,10 +54,7 @@ class DataGraphSpec extends SparkSpec {
   }
 
   test("isolated vertices are dropped") {
-    import spark.implicits._
-    val raw = Seq((1L, 2L)).toDF("src", "dst")
-    val labels = Seq((1L, 0), (2L, 1), (99L, 2)).toDF("v", "lab")
-    val g = DataGraph.fromEdges(spark, raw, Some(labels))
+    val g = TestGraphs.fromRows(spark, Seq((1L, 2L)), Some(Seq((1L, 0), (2L, 1), (99L, 2))))
     assert(g.numVertices == 2)
     assert(g.labels.get.count() == 2) // label of the isolated vertex dropped with it
   }
@@ -123,45 +118,54 @@ class DataGraphSpec extends SparkSpec {
     import spark.implicits._
     val big = 1L << 32
     val (a, b, c, d, e) = (big + 7, 3L * big, 5L, Long.MaxValue - 1, big + 8)
-    val rawEdges = Seq(
-      (a, b), (b, a), (a, b), // one edge, given three times in both orientations
-      (c, a), (c, c), (42L, 42L), // self-loops; 42 has no other edge, so it is no vertex
-      (b, c), (c, d), (d, e), (e, b), (a, e) // d has degree 2; a, b, c and e tie at 3
+    // (what, edge rows, label rows, |V|, |E|)
+    val cases: Seq[(String, Seq[(Long, Long)], Option[Seq[(Long, Int)]], Long, Long)] = Seq(
+      // a-b given three times in both orientations; self-loops, and 42 has no
+      // other edge, so it is no vertex; d has degree 2, a, b, c and e tie at 3
+      ("sparse ids", Seq((a, b), (b, a), (a, b), (c, a), (c, c), (42L, 42L), (b, c), (c, d), (d, e), (e, b), (a, e)),
+        Some(Seq((a, 1), (b, 2), (d, 1), (e, 0), (42L, 5))), 5, 7),
+      ("degree ties", Seq((1L, 2L), (3L, 4L), (5L, 6L), (2L, 3L), (6L, 1L)), None, 6, 5),
+      ("empty", Seq.empty, Some(Seq((1L, 0))), 0, 0),
+      ("self-loops only", Seq((1L, 1L), (7L, 7L)), Some(Seq((1L, 0), (7L, 1))), 0, 0),
+      // labels of vertices without an edge, a repeated label and an unlabeled vertex
+      ("labels off the graph", Seq((1L, 2L), (2L, 3L), (3L, 4L)), Some(Seq((1L, 5), (1L, 5), (3L, 6), (9L, 1), (big, 2))), 4, 3)
     )
-    val raw = rawEdges.toDF("src", "dst")
-    val g = DataGraph.fromEdges(spark, raw)
-    Oracle.assertEquivalent(g.mapping, s"$rankedSql SELECT orig, v FROM m", "raw" -> raw)
-    Oracle.assertEquivalent(g.edges,
-      s"""$rankedSql SELECT least(x.v, y.v) AS src, greatest(x.v, y.v) AS dst
-         |FROM e JOIN m x ON x.orig = e.a JOIN m y ON y.orig = e.b""".stripMargin,
-      "raw" -> raw)
-    assert(g.numVertices == 5 && g.numEdges == 7)
+    for ((what, es, ls, nV, nE) <- cases) {
+      val g = TestGraphs.fromRows(spark, es, ls)
+      val raw = "raw" -> es.toDF("src", "dst")
+      Oracle.assertEquivalent(g.mapping, s"$rankedSql SELECT orig, v FROM m", raw)
+      Oracle.assertEquivalent(g.edges,
+        s"""$rankedSql SELECT least(x.v, y.v) AS src, greatest(x.v, y.v) AS dst
+           |FROM e JOIN m x ON x.orig = e.a JOIN m y ON y.orig = e.b""".stripMargin,
+        raw)
+      for (l <- ls)
+        Oracle.assertEquivalent(g.labels.get,
+          s"$rankedSql SELECT DISTINCT m.v AS v, CAST(l.lab AS INTEGER) AS lab FROM lab l JOIN m ON m.orig = CAST(l.v AS BIGINT)",
+          raw, "lab" -> l.toDF("v", "lab"))
+      assert(g.labeled == ls.isDefined, what)
+      assert(g.numVertices == nV && g.numEdges == nE, what)
+      g.unpersist()
+    }
   }
 
   test("an empty edge list, or one of self-loops only, gives an empty graph") {
-    import spark.implicits._
-    for (raw <- Seq(Seq.empty[(Long, Long)], Seq((1L, 1L), (7L, 7L)))) {
-      val labels = Seq((1L, 0), (7L, 1)).toDF("v", "lab")
-      for (g <- Seq(DataGraph.fromEdges(spark, raw.toDF("src", "dst")),
-                    DataGraph.fromEdges(spark, raw.toDF("src", "dst"), Some(labels)))) {
-        assert(g.numVertices == 0 && g.numEdges == 0)
-        assert(g.csr.value.numVertices == 0 && g.csr.value.nbrs.isEmpty)
-        assert(g.edges.count() == 0 && g.adj.count() == 0 && g.vertices.count() == 0 && g.mapping.count() == 0)
-        assert(CliqueCount.count(g, 3) == 0)
-        assert(!Existence.exists(g, Patterns.generateChain(2)))
-        if (g.labeled) {
-          assert(g.labelArray.get.value.isEmpty && g.labels.get.count() == 0)
-          assert(Fsm.run(spark, g, maxEdges = 2, threshold = 1).totalPatterns == 0)
-        }
-        g.unpersist()
+    for (raw <- Seq(Seq.empty[(Long, Long)], Seq((1L, 1L), (7L, 7L))); labels <- Seq(None, Some(Seq((1L, 0), (7L, 1))))) {
+      val g = TestGraphs.fromRows(spark, raw, labels)
+      assert(g.numVertices == 0 && g.numEdges == 0)
+      assert(g.csr.value.numVertices == 0 && g.csr.value.nbrs.isEmpty)
+      assert(g.edges.count() == 0 && g.adj.count() == 0 && g.vertices.count() == 0 && g.mapping.count() == 0)
+      assert(CliqueCount.count(g, 3) == 0)
+      assert(!Existence.exists(g, Patterns.generateChain(2)))
+      if (g.labeled) {
+        assert(g.labelArray.get.value.isEmpty && g.labels.get.count() == 0)
+        assert(Fsm.run(spark, g, maxEdges = 2, threshold = 1).totalPatterns == 0)
       }
+      g.unpersist()
     }
   }
 
   test("vertices the label relation omits read NoLabel and have no labels row") {
-    import spark.implicits._
-    val g = DataGraph.fromEdges(spark, Seq((1L, 2L), (2L, 3L), (3L, 4L)).toDF("src", "dst"),
-      Some(Seq((1L, 5), (3L, 6)).toDF("v", "lab")))
+    val g = TestGraphs.fromRows(spark, Seq((1L, 2L), (2L, 3L), (3L, 4L)), Some(Seq((1L, 5), (3L, 6))))
     val byOrig = g.mapping.collect().map(r => r.getLong(0) -> r.getLong(1).toInt).toMap
     val arr = g.labelArray.get.value
     assert(Seq(1L, 2L, 3L, 4L).map(o => arr(byOrig(o))) == Seq(5, Csr.NoLabel, 6, Csr.NoLabel))
@@ -169,21 +173,9 @@ class DataGraphSpec extends SparkSpec {
   }
 
   test("a vertex has one label: repeated rows collapse, two different labels are refused") {
-    import spark.implicits._
-    val raw = Seq((1L, 2L)).toDF("src", "dst")
-    val g = DataGraph.fromEdges(spark, raw, Some(Seq((1L, 4), (1L, 4), (2L, 3)).toDF("v", "lab")))
+    val g = TestGraphs.fromRows(spark, Seq((1L, 2L)), Some(Seq((1L, 4), (1L, 4), (2L, 3))))
     assert(g.labels.get.count() == 2)
-    intercept[IllegalArgumentException](DataGraph.fromEdges(spark, raw, Some(Seq((1L, 4), (1L, 5)).toDF("v", "lab"))))
-  }
-
-  /** The benchmark's MI graph at 5 % size as driver-local DataFrames of the
-    * generators' zipf edges and skewed labels.
-    */
-  private def miSmall = {
-    import spark.implicits._
-    val e = SynthData.graphEdgesZipf(spark, 100, 1200, 1.6, 11)
-    val l = SynthData.vertexLabelsSkewed(spark, 100, 29, 2.0, 12)
-    (e.src.zip(e.dst).toSeq.toDF("src", "dst"), l.v.zip(l.lab).toSeq.toDF("v", "lab"))
+    intercept[IllegalArgumentException](TestGraphs.fromRows(spark, Seq((1L, 2L)), Some(Seq((1L, 4), (1L, 5)))))
   }
 
   /** Catalyst rule runs (analyzer and optimizer) and generated classes
@@ -202,57 +194,11 @@ class DataGraphSpec extends SparkSpec {
       assert(b.graph.numEdges > 0, name)
       b.graph.unpersist()
     }
-    // The checks see work: the same edges as a DataFrame are analyzed, and
-    // spread over partitions they cost a job.
+    // The checks see work: scanning a graph's relational view is analyzed,
+    // optimized and run as a job.
     val before = catalystWork
-    val (edges, _) = miSmall
+    val (n, jobs) = jobsDuring(d.mi.edges.count())
     assert(catalystWork._1 > before._1)
-    assert(jobsDuring(DataGraph.fromEdges(spark, edges.repartition(8)))._2.nonEmpty)
-  }
-
-  test("a driver-local relation and its repartitioned copy build the same graph") {
-    val (edges, labels) = miSmall
-    val local = DataGraph.fromEdges(spark, edges, Some(labels))
-    val spread = DataGraph.fromEdges(spark, edges.repartition(8), Some(labels.repartition(8)))
-    assertSameGraph(local, spread, "local vs repartitioned")
-    local.unpersist(); spread.unpersist()
-  }
-
-  private def mapping(g: DataGraph): Seq[(Long, Long)] =
-    g.mapping.collect().map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq
-
-  private def assertSameGraph(a: DataGraph, b: DataGraph, what: String): Unit = {
-    assert(a.numVertices == b.numVertices && a.numEdges == b.numEdges, what)
-    val (x, y) = (a.csr.value, b.csr.value)
-    assert(x.offsets.toSeq == y.offsets.toSeq && x.nbrs.toSeq == y.nbrs.toSeq, what)
-    assert(a.labelArray.map(_.value.toSeq) == b.labelArray.map(_.value.toSeq), what)
-    assert(mapping(a) == mapping(b), what)
-  }
-
-  test("the array builder and the DataFrame adapter build the same graph") {
-    import spark.implicits._
-    val big = 1L << 32
-    val (a, b, c, d, e) = (big + 7, 3L * big, 5L, Long.MaxValue - 1, big + 8)
-    val cases: Seq[(String, Seq[(Long, Long)], Option[Seq[(Long, Int)]])] = Seq(
-      // ids above 32 bits, reversed duplicates, self-loops and degree ties
-      ("sparse ids", Seq((a, b), (b, a), (a, b), (c, a), (c, c), (42L, 42L), (b, c), (c, d), (d, e), (e, b), (a, e)),
-        Some(Seq((a, 1), (b, 2), (d, 1), (e, 0), (42L, 5)))),
-      ("degree ties", Seq((1L, 2L), (3L, 4L), (5L, 6L), (2L, 3L), (6L, 1L)), None),
-      ("empty", Seq.empty, Some(Seq((1L, 0)))),
-      ("self-loops only", Seq((1L, 1L), (7L, 7L)), Some(Seq((1L, 0), (7L, 1)))),
-      // labels of vertices without an edge, a repeated label and an unlabeled vertex
-      ("labels off the graph", Seq((1L, 2L), (2L, 3L), (3L, 4L)), Some(Seq((1L, 5), (1L, 5), (3L, 6), (9L, 1), (big, 2))))
-    )
-    for ((what, es, ls) <- cases) {
-      val arrays = DataGraph.fromEdges(spark, DataGraph.Edges(es.map(_._1).toArray, es.map(_._2).toArray),
-        ls.map(l => DataGraph.Labels(l.map(_._1).toArray, l.map(_._2).toArray)))
-      val frames = DataGraph.fromEdges(spark, es.toDF("src", "dst"), ls.map(_.toDF("v", "lab")))
-      assertSameGraph(arrays, frames, what)
-      arrays.unpersist(); frames.unpersist()
-    }
-    val (es, twoLabels) = (Seq((1L, 2L)), Seq((1L, 4), (1L, 5)))
-    intercept[IllegalArgumentException](DataGraph.fromEdges(spark, DataGraph.Edges(Array(1L), Array(2L)),
-      Some(DataGraph.Labels(twoLabels.map(_._1).toArray, twoLabels.map(_._2).toArray))))
-    intercept[IllegalArgumentException](DataGraph.fromEdges(spark, es.toDF("src", "dst"), Some(twoLabels.toDF("v", "lab"))))
+    assert(jobs.nonEmpty && n == d.mi.numEdges)
   }
 }

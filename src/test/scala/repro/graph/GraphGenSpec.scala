@@ -46,26 +46,27 @@ class GraphGenSpec extends SparkSpec {
 
   test("lite datasets build and report Table 2 stats") {
     val scale = 0.2 // keep the unit test fast
-    for (lite <- Seq(GraphGen.miLite(spark, scale), GraphGen.paLite(spark, scale))) {
-      val s = GraphStats.describe(lite.graph)
+    // MI-lite draws 29 labels; PA-lite has none.
+    for ((g, nLabels) <- Seq((GraphGen.miLite(spark, scale), Some(29)), (GraphGen.paLite(spark, scale), None))) {
+      val s = GraphStats.describe(g)
       assert(s.numVertices > 100 && s.numEdges > 500)
-      assert(lite.nLabels.forall(n => s.numLabels.exists(_ <= n)))
-      lite.graph.unpersist()
+      assert(nLabels.forall(n => s.numLabels.exists(_ <= n)))
+      g.unpersist()
     }
   }
 
   test("okLiteWithClique contains the planted clique") {
-    val lite = GraphGen.okLiteWithClique(spark, k = 6, scale = 0.2)
-    assert(Existence.exists(lite.graph, Patterns.generateClique(6)))
-    lite.graph.unpersist()
+    val g = GraphGen.okLiteWithClique(spark, k = 6, scale = 0.2)
+    assert(Existence.exists(g, Patterns.generateClique(6)))
+    g.unpersist()
   }
 
   test("MI-lite is heavy-tailed, PA-lite is flat (Table 2 shape)") {
     val mi = GraphGen.miLite(spark, 0.2)
     val pa = GraphGen.paLite(spark, 0.2)
-    val miStats = GraphStats.describe(mi.graph)
-    val paStats = GraphStats.describe(pa.graph)
+    val miStats = GraphStats.describe(mi)
+    val paStats = GraphStats.describe(pa)
     assert(miStats.maxDegree / miStats.avgDegree > paStats.maxDegree / paStats.avgDegree)
-    mi.graph.unpersist(); pa.graph.unpersist()
+    mi.unpersist(); pa.unpersist()
   }
 }

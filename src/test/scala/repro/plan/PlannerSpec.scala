@@ -9,16 +9,17 @@ class PlannerSpec extends AnyFunSuite {
 
   test("diamond plan matches the §4.1 walkthrough") {
     val plan = Planner.plan(diamond)
-    assert(plan.partialOrders.toSet == Set((1, 3), (2, 4)))
-    assert(plan.core == Set(2, 4))
+    assert(SymmetryBreaking.breakSymmetry(diamond)._1.toSet == Set((1, 3), (2, 4)))
+    assert(plan.orderClosure == Set((1, 3), (2, 4)))
+    assert(VertexCover.minConnectedCover(diamond) == Set(2, 4))
     assert(plan.multiplicity == 4)
   }
 
   test("join order starts in the core and is connectivity-respecting") {
     for (k <- 2 to 5; p <- Patterns.generateAllVertexInduced(k)) {
-      val plan = Planner.plan(p)
-      val order = plan.joinOrder
-      assert(order.take(plan.core.size).toSet == plan.core)
+      val order = Planner.plan(p).joinOrder
+      val core = VertexCover.minConnectedCover(p)
+      assert(order.take(core.size).toSet == core)
       for (i <- 1 until order.size)
         assert(order.take(i).exists(w => p.areConnected(order(i), w)),
           s"vertex ${order(i)} not anchored in $p (order $order)")
@@ -39,24 +40,24 @@ class PlannerSpec extends AnyFunSuite {
   test("plan handles anti-vertex patterns (p7)") {
     val p7 = Patterns.generateClique(3).addAntiEdge(1, 4).addAntiEdge(2, 4).addAntiEdge(3, 4)
     val plan = Planner.plan(p7)
-    assert(!plan.core(4))
+    assert(!VertexCover.minConnectedCover(p7)(4))
     assert(plan.joinOrder.toSet == Set(1, 2, 3))
     assert(plan.multiplicity == 6)
   }
 
   test("plan handles anti-edge patterns (p8)") {
     val p8 = Pattern.fromEdges((1, 2), (2, 3), (3, 4), (4, 1), (1, 3)).addAntiEdge(2, 4)
-    val plan = Planner.plan(p8)
     // One endpoint of the anti-edge must be in the core.
-    assert(plan.core(2) || plan.core(4))
-    assert(plan.joinOrder.size == 4)
+    val core = VertexCover.minConnectedCover(p8)
+    assert(core(2) || core(4))
+    assert(Planner.plan(p8).joinOrder.size == 4)
   }
 
   test("plan of single-vertex and single-edge patterns") {
-    val pv = Planner.plan(Pattern.singleton())
-    assert(pv.core == Set(1) && pv.joinOrder == Vector(1))
-    val pe = Planner.plan(Patterns.generateChain(2))
-    assert(pe.core.size == 1 && pe.joinOrder.size == 2)
+    assert(VertexCover.minConnectedCover(Pattern.singleton()) == Set(1))
+    assert(Planner.plan(Pattern.singleton()).joinOrder == Vector(1))
+    assert(VertexCover.minConnectedCover(Patterns.generateChain(2)).size == 1)
+    assert(Planner.plan(Patterns.generateChain(2)).joinOrder.size == 2)
   }
 
   test("multiplicity matches automorphism counts for plain patterns") {

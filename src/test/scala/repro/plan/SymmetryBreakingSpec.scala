@@ -9,7 +9,7 @@ class SymmetryBreakingSpec extends AnyFunSuite {
     * partial order act as the identity on regular vertices.
     */
   private def breaksAllSymmetries(p: Pattern): Unit = {
-    val conds = SymmetryBreaking.partialOrders(p)
+    val conds = SymmetryBreaking.breakSymmetry(p)._1
     val reg = p.regularVertices
     val surviving = BruteForceAutomorphism.all(p).filter { sigma =>
       // An automorphism is consistent iff composing any valid assignment
@@ -25,29 +25,29 @@ class SymmetryBreakingSpec extends AnyFunSuite {
 
   test("diamond gets the Fig 6 partial order u1<u3, u2<u4") {
     val diamond = Pattern.fromEdges((1, 2), (2, 3), (3, 4), (4, 1), (2, 4))
-    val conds = SymmetryBreaking.partialOrders(diamond).toSet
+    val conds = SymmetryBreaking.breakSymmetry(diamond)._1.toSet
     assert(conds == Set((1, 3), (2, 4)))
   }
 
   test("triangle is fully ordered") {
-    val conds = SymmetryBreaking.partialOrders(Patterns.generateClique(3)).toSet
+    val conds = SymmetryBreaking.breakSymmetry(Patterns.generateClique(3))._1.toSet
     assert(conds == Set((1, 2), (1, 3), (2, 3)))
   }
 
   test("clique k gets a total order") {
     for (k <- 2 to 5) {
-      val conds = SymmetryBreaking.partialOrders(Patterns.generateClique(k))
+      val conds = SymmetryBreaking.breakSymmetry(Patterns.generateClique(k))._1
       assert(conds.size == k * (k - 1) / 2)
     }
   }
 
   test("path gets one condition (endpoints ordered)") {
-    val conds = SymmetryBreaking.partialOrders(Patterns.generateChain(3))
+    val conds = SymmetryBreaking.breakSymmetry(Patterns.generateChain(3))._1
     assert(conds == Seq((1, 3)))
   }
 
   test("star spokes are totally ordered, center free") {
-    val conds = SymmetryBreaking.partialOrders(Patterns.generateStar(3)).toSet
+    val conds = SymmetryBreaking.breakSymmetry(Patterns.generateStar(3))._1.toSet
     assert(conds == Set((2, 3), (2, 4), (3, 4)))
   }
 
@@ -55,29 +55,29 @@ class SymmetryBreakingSpec extends AnyFunSuite {
     // Tailed triangle with distinctly labeled triangle corners is rigid.
     val p = Pattern.fromEdges((1, 2), (2, 3), (1, 3), (3, 4))
       .addLabel(1, 0).addLabel(2, 1).addLabel(3, 2)
-    assert(SymmetryBreaking.partialOrders(p).isEmpty)
+    assert(SymmetryBreaking.breakSymmetry(p)._1.isEmpty)
   }
 
   test("tailed triangle orders its symmetric corners") {
     // Unlabeled tailed triangle: corners 1 and 2 swap.
     val p = Pattern.fromEdges((1, 2), (2, 3), (1, 3), (3, 4))
-    assert(SymmetryBreaking.partialOrders(p) == Seq((1, 2)))
+    assert(SymmetryBreaking.breakSymmetry(p)._1 == Seq((1, 2)))
   }
 
   test("labels break symmetry before ordering is needed") {
     val p = Patterns.generateChain(2).addLabel(1, 0).addLabel(2, 1)
-    assert(SymmetryBreaking.partialOrders(p).isEmpty)
+    assert(SymmetryBreaking.breakSymmetry(p)._1.isEmpty)
   }
 
   test("§4.3 pe: anti-vertex yields u1<u3 only (u2 not symmetric)") {
     val pe = Patterns.generateClique(3).addAntiEdge(1, 4).addAntiEdge(3, 4)
-    val conds = SymmetryBreaking.partialOrders(pe)
+    val conds = SymmetryBreaking.breakSymmetry(pe)._1
     assert(conds == Seq((1, 3)))
   }
 
   test("anti-vertices never receive ordering constraints") {
     val p7 = Patterns.generateClique(3).addAntiEdge(1, 4).addAntiEdge(2, 4).addAntiEdge(3, 4)
-    val conds = SymmetryBreaking.partialOrders(p7)
+    val conds = SymmetryBreaking.breakSymmetry(p7)._1
     assert(conds.forall { case (a, b) => a != 4 && b != 4 })
     assert(conds.toSet == Set((1, 2), (1, 3), (2, 3)))
   }
@@ -105,7 +105,7 @@ class SymmetryBreakingSpec extends AnyFunSuite {
   test("ordering conditions relate vertices in the same orbit") {
     for (k <- 2 to 5; p <- Patterns.generateAllVertexInduced(k)) {
       val autos = BruteForceAutomorphism.all(p)
-      for ((a, b) <- SymmetryBreaking.partialOrders(p))
+      for ((a, b) <- SymmetryBreaking.breakSymmetry(p)._1)
         assert(autos.exists(s => s(a) == b), s"condition ($a,$b) not orbit-justified in $p")
     }
   }
