@@ -27,7 +27,8 @@ object MniSupport {
   def support(g: DataGraph, p: Pattern): Long = {
     require(p.fullyLabeled || !g.labeled, "support of a pattern with wildcards needs an unlabeled graph")
     // Every match carries the same label sequence: at most one entry.
-    PlanExecutor.domains(g, Planner.plan(p)).values.headOption.map(smallestDomain(orbitIds(p), _)).getOrElse(0L)
+    val doms = PlanExecutor.domains(g, Planner.plan(p), symmetry = true, None)
+    doms.values.headOption.map(smallestDomain(orbitIds(p), _)).getOrElse(0L)
   }
 
   /** Dynamic label discovery (§3.2.1): group the matches of the
@@ -45,15 +46,24 @@ object MniSupport {
     * `support`, under the labeled pattern's group: the actions keeping its
     * label sequence, which may exceed `p`'s (a chain with one end
     * pre-labeled gains the end swap when both ends get the same label).
+    *
+    * `admissible` goes to `PlanExecutor.domains`: the matches it does not
+    * admit are never enumerated, so only the labeled patterns whose labels
+    * and labeled edges it admits are returned, with the same supports as
+    * without it (a pattern's automorphisms map its edges onto its edges, so
+    * all the label sequences a pattern collects are admitted or none is).
+    * `None` discovers every labeling present.
     */
-  def labeledSupports(g: DataGraph, p: Pattern, symmetry: Boolean = true): Seq[(Pattern, Long)] = {
+  def labeledSupports(
+      g: DataGraph, p: Pattern, symmetry: Boolean = true, admissible: Option[PlanExecutor.Admissible]
+  ): Seq[(Pattern, Long)] = {
     require(g.labeled, "label discovery requires a labeled graph")
     val reg = p.regularVertices
     val shape = Automorphism.regularActions(p.copy(labels = p.labels -- reg))
     def keeping[A](ls: Seq[A]): Seq[Vector[Int]] = shape.filter(_.map(ls) == ls)
     val own = keeping(reg.map(p.getLabel))
     val canonical = collection.mutable.Map.empty[Seq[Int], Array[RoaringBitmap]]
-    for ((ls, doms) <- PlanExecutor.domains(g, Planner.plan(p), symmetry)) {
+    for ((ls, doms) <- PlanExecutor.domains(g, Planner.plan(p), symmetry, admissible)) {
       val perm = own.minBy(_.map(ls))(Ordering.Implicits.seqOrdering)
       val key = perm.map(ls)
       val permuted = perm.map(doms).toArray

@@ -36,7 +36,10 @@ import repro.plan.ExplorationPlan
   *
   * `run` and `domains` share this search and differ only in what a task
   * does with a full match: `run` counts it, `domains` also files its ids
-  * into per-task Roaring bitmaps that the driver merges (§5.5).
+  * into per-task Roaring bitmaps that the driver merges (§5.5). `domains`
+  * may also be given an `Admissible` label set, which rejects a candidate
+  * at bind time when its label, or its label paired with a bound pattern
+  * neighbour's, is not admitted.
   *
   * With `symmetry = false` the order bounds are dropped and every
   * automorphic image is found (PRG-U). `limit` stops each task once it has
@@ -52,8 +55,28 @@ object PlanExecutor {
   final case class Result(count: Long, accepted: Vector[Long])
 
   def run(g: DataGraph, plan: ExplorationPlan, symmetry: Boolean = true, limit: Long = Long.MaxValue): Result = {
-    val perTask = tasks(g, Program(plan, symmetry), limit, collect = false)(s => s.count +: s.accepted)
+    val perTask = tasks(g, Program(plan, symmetry), limit, collect = false, null)(s => s.count +: s.accepted)
     Result(perTask.map(_.head).sum, plan.joinOrder.indices.map(i => perTask.map(_(i + 1)).sum).toVector)
+  }
+
+  /** The labels a search admits: a candidate vertex is bound only if its
+    * label is in `labels` and, when `pairs` is given, its label and that of
+    * each bound pattern neighbour form a pair in `pairs` (unordered).
+    * `Csr.NoLabel` is never admitted. Both sets are kept as small sorted
+    * arrays and looked up by binary search.
+    */
+  final class Admissible(labels: Iterable[Int], pairs: Option[Iterable[(Int, Int)]]) extends Serializable {
+    private val ls = labels.filter(_ != Csr.NoLabel).toArray.distinct.sorted
+    private val ps = pairs.map(_.map { case (a, b) => Admissible.pack(a, b) }.toArray.distinct.sorted).orNull
+
+    def label(l: Int): Boolean = java.util.Arrays.binarySearch(ls, l) >= 0
+
+    def pair(a: Int, b: Int): Boolean = ps == null || java.util.Arrays.binarySearch(ps, Admissible.pack(a, b)) >= 0
+  }
+
+  object Admissible {
+    /** The unordered pair {a, b} as one `Long`. */
+    private def pack(a: Int, b: Int): Long = (math.min(a, b).toLong << 32) | (math.max(a, b) & 0xffffffffL)
   }
 
   /** MNI domains of the matches of `plan`, by label sequence: for each
@@ -62,9 +85,21 @@ object PlanExecutor {
     * bitmap per regular vertex of the data vertices matched to it. On a
     * labeled graph a match with an unlabeled data vertex at a wildcard is
     * skipped; on an unlabeled graph wildcards keep `Csr.NoLabel`.
+    *
+    * With `admissible`, the search binds no vertex whose label it does not
+    * admit, nor one whose label pairs with a bound pattern neighbour's into
+    * a pair it does not admit. A label sequence's matches either all pass
+    * those checks or all fail them, so the result is exactly the unpruned
+    * map restricted to the sequences whose labels, and whose edges' label
+    * pairs, are all admitted, with the same bitmaps; the rest are never
+    * enumerated, filed or shipped. It needs a labeled graph.
     */
-  def domains(g: DataGraph, plan: ExplorationPlan, symmetry: Boolean = true): Map[Seq[Int], Array[RoaringBitmap]] = {
-    val perTask = tasks(g, Program(plan, symmetry), Long.MaxValue, collect = true)(_.domains.entries)
+  def domains(
+      g: DataGraph, plan: ExplorationPlan, symmetry: Boolean, admissible: Option[Admissible]
+  ): Map[Seq[Int], Array[RoaringBitmap]] = {
+    require(admissible.isEmpty || g.labeled, "label admissibility requires a labeled graph")
+    val perTask =
+      tasks(g, Program(plan, symmetry), Long.MaxValue, collect = true, admissible.orNull)(_.domains.entries)
     val merged = collection.mutable.Map.empty[Seq[Int], Array[RoaringBitmap]]
     for ((ls, doms) <- perTask.flatten) merged.get(ls.toSeq) match {
       case Some(acc) => acc.indices.foreach(j => acc(j).or(doms(j)))
@@ -75,9 +110,10 @@ object PlanExecutor {
 
   /** Runs the search in every task and returns `out` of each task's search;
     * with `collect`, searches file their matches' domains, reading every
-    * vertex's label when the graph has labels.
+    * vertex's label when the graph has labels. `admissible` (null for none)
+    * prunes them as in `domains`.
     */
-  private def tasks[T: ClassTag](g: DataGraph, prog: Program, limit: Long, collect: Boolean)(
+  private def tasks[T: ClassTag](g: DataGraph, prog: Program, limit: Long, collect: Boolean, admissible: Admissible)(
       out: Search => T
   ): Array[T] = {
     val labeled = prog.label.exists(_ != Csr.NoLabel)
@@ -86,7 +122,7 @@ object PlanExecutor {
     val labels = if (labeled || collect) g.labelArray else None
     val sc = g.spark.sparkContext
     val n = sc.defaultParallelism
-    sc.runJob(sc.parallelize(0 until n, n), new Task(prog, csr, labels, limit, collect, n, out), 0 until n)
+    sc.runJob(sc.parallelize(0 until n, n), new Task(prog, csr, labels, limit, collect, admissible, n, out), 0 until n)
   }
 
   /** Task `ctx.partitionId` of `tasks`: runs its search and returns `out` of
@@ -96,10 +132,11 @@ object PlanExecutor {
     */
   private final class Task[T](
       prog: Program, csr: Broadcast[Csr], labels: Option[Broadcast[Array[Int]]], limit: Long, collect: Boolean,
-      tasks: Int, out: Search => T
+      admissible: Admissible, tasks: Int, out: Search => T
   ) extends ((TaskContext, Iterator[Int]) => T) with Serializable {
     def apply(ctx: TaskContext, ignored: Iterator[Int]): T = {
-      val search = new Search(prog, csr.value, labels.map(_.value).orNull, limit, collect, ctx.partitionId, tasks)
+      val search =
+        new Search(prog, csr.value, labels.map(_.value).orNull, limit, collect, admissible, ctx.partitionId, tasks)
       search.extend(0)
       out(search)
     }
@@ -149,10 +186,11 @@ object PlanExecutor {
 
   /** The backtracking search of task `task` out of `tasks`, run by
     * `extend(0)`; `labels` is null when it reads none. With `collect` it
-    * files every match into `domains`.
+    * files every match into `domains`; `admissible` is null for none.
     */
   private final class Search(
-      prog: Program, csr: Csr, labels: Array[Int], limit: Long, collect: Boolean, task: Int, tasks: Int
+      prog: Program, csr: Csr, labels: Array[Int], limit: Long, collect: Boolean, admissible: Admissible,
+      task: Int, tasks: Int
   ) {
     private val k = prog.nbrs.length
     private val m = new Array[Int](k)
@@ -209,6 +247,7 @@ object PlanExecutor {
     /** Every check of position `i` on candidate `c`, except adjacency to `anchor`. */
     private def accepts(i: Int, c: Int, anchor: Int): Boolean = {
       if (prog.label(i) != Csr.NoLabel && labels(c) != prog.label(i)) return false
+      if (admissible != null && !admits(i, c)) return false
       val distinct = prog.distinct(i)
       var j = 0
       while (j < distinct.length) { if (m(distinct(j)) == c) return false; j += 1 }
@@ -222,6 +261,18 @@ object PlanExecutor {
       val anti = prog.anti(i)
       j = 0
       while (j < anti.length) { if (csr.hasEdge(m(anti(j)), c)) return false; j += 1 }
+      true
+    }
+
+    /** Whether `admissible` admits `c`'s label at position `i`: alone, and
+      * paired with each bound pattern neighbour's.
+      */
+    private def admits(i: Int, c: Int): Boolean = {
+      val l = labels(c)
+      if (!admissible.label(l)) return false
+      val nbrs = prog.nbrs(i)
+      var j = 0
+      while (j < nbrs.length) { if (!admissible.pair(l, labels(m(nbrs(j))))) return false; j += 1 }
       true
     }
 

@@ -44,6 +44,10 @@ final class DataGraph private (
   /** Whether the graph carries a label relation. */
   def labeled: Boolean = localLabels.isDefined
 
+  /** How many vertices carry each label; unlabeled vertices are not counted. */
+  def labelCounts: Map[Int, Int] =
+    localLabels.fold(Map.empty[Int, Int])(_.filter(_ != Csr.NoLabel).groupMapReduce(identity)(_ => 1)(_ + _))
+
   private var csrB: Broadcast[Csr] = _
   private var labelsB: Broadcast[Array[Int]] = _
 

@@ -28,7 +28,7 @@ class BaselineSpec extends SparkSpec {
 
   /** The engine's label-discovery supports of every connected `k`-edge shape. */
   private def engineFsm(g: DataGraph, k: Int): Map[String, Long] =
-    keyed(Patterns.generateAllEdgeInduced(k).flatMap(MniSupport.labeledSupports(g, _)))
+    keyed(Patterns.generateAllEdgeInduced(k).flatMap(MniSupport.labeledSupports(g, _, admissible = None)))
 
   private def engineMotifKeys(size: Int): Map[String, Long] =
     MotifCount.count(g, size).filter(_._2 > 0).map { case (p, n) => (Check.key(p), n) }.toMap

@@ -58,7 +58,7 @@ class MniFsmSpec extends SparkSpec {
 
   test("labeledSupports discovers exactly the labeled patterns present") {
     val shape = Patterns.generateChain(2)
-    val discovered = MniSupport.labeledSupports(g, shape)
+    val discovered = MniSupport.labeledSupports(g, shape, admissible = None)
     val expected = labeledVariants(shape)
       .map(p => (CanonicalForm.key(p), LocalRef.mniSupport(p, ref)))
       .filter(_._2 > 0)
@@ -69,7 +69,7 @@ class MniFsmSpec extends SparkSpec {
 
   test("labeledSupports on wedges matches brute force") {
     val shape = Patterns.generateChain(3)
-    val got = MniSupport.labeledSupports(g, shape)
+    val got = MniSupport.labeledSupports(g, shape, admissible = None)
       .map { case (p, s) => (CanonicalForm.key(p), s) }.toMap
     val expected = labeledVariants(shape)
       .map(p => (CanonicalForm.key(p), LocalRef.mniSupport(p, ref)))
@@ -80,7 +80,7 @@ class MniFsmSpec extends SparkSpec {
 
   test("labeledSupports respects pre-assigned labels") {
     val shape = Patterns.generateChain(3).addLabel(2, 1) // center fixed to label 1
-    val got = MniSupport.labeledSupports(g, shape)
+    val got = MniSupport.labeledSupports(g, shape, admissible = None)
     assert(got.nonEmpty)
     for ((p, s) <- got) {
       assert(p.fullyLabeled)
@@ -94,7 +94,7 @@ class MniFsmSpec extends SparkSpec {
     // orbits merge domains that are equal already: with no symmetry to
     // break, the executor finds both orientations of each such match.)
     for (l <- 0 until 3) {
-      val got = MniSupport.labeledSupports(g, Patterns.generateChain(3).addLabel(1, l))
+      val got = MniSupport.labeledSupports(g, Patterns.generateChain(3).addLabel(1, l), admissible = None)
       assert(got.exists { case (p, _) => p.labels(3) == l }, s"label $l")
       for ((p, s) <- got)
         assert(s == LocalRef.mniSupport(p, ref), s"pattern $p")
@@ -106,7 +106,8 @@ class MniFsmSpec extends SparkSpec {
     val pg = TestGraphs.dataGraph(spark, edges, partial)
     val pref = LocalRef.graph(edges, partial)
     for (shape <- Seq(Patterns.generateChain(2), Patterns.generateChain(3)))
-      assert(keyed(MniSupport.labeledSupports(pg, shape)) == bruteForce(shape, pref, 1), s"shape $shape")
+      assert(keyed(MniSupport.labeledSupports(pg, shape, admissible = None)) == bruteForce(shape, pref, 1),
+        s"shape $shape")
     for (p <- labeledVariants(Patterns.generateChain(2)))
       assert(MniSupport.support(pg, p) == LocalRef.mniSupport(p, pref), s"pattern $p")
     val fsm = Fsm.run(spark, pg, maxEdges = 2, threshold = 3)
@@ -125,7 +126,7 @@ class MniFsmSpec extends SparkSpec {
     val empty = TestGraphs.dataGraph(spark, Seq.empty, labels)
     val eref = LocalRef.graph(Seq.empty, labels)
     val shape = Patterns.generateChain(2)
-    assert(MniSupport.labeledSupports(empty, shape).isEmpty)
+    assert(MniSupport.labeledSupports(empty, shape, admissible = None).isEmpty)
     assert(bruteForce(shape, eref, 1).isEmpty)
     for (p <- labeledVariants(shape))
       assert(MniSupport.support(empty, p) == 0 && LocalRef.mniSupport(p, eref) == 0, s"pattern $p")
@@ -135,8 +136,8 @@ class MniFsmSpec extends SparkSpec {
   test("labeledSupports on wedges is the same without symmetry breaking") {
     val shape = Patterns.generateChain(3)
     val expected = bruteForce(shape, ref, 1)
-    assert(keyed(MniSupport.labeledSupports(g, shape, symmetry = true)) == expected)
-    assert(keyed(MniSupport.labeledSupports(g, shape, symmetry = false)) == expected)
+    assert(keyed(MniSupport.labeledSupports(g, shape, symmetry = true, admissible = None)) == expected)
+    assert(keyed(MniSupport.labeledSupports(g, shape, symmetry = false, admissible = None)) == expected)
   }
 
   test("FSM frequent 1-edge patterns match brute force at several thresholds") {

@@ -133,24 +133,69 @@ class PlanExecutorSpec extends SparkSpec {
     g.labelArray
     val before = sc.getPersistentRDDs.keySet
     val wedge = Planner.plan(Patterns.generateChain(3))
-    val queries: Seq[(String, () => Any)] = Seq(
-      "run" -> (() => PlanExecutor.run(g, wedge)),
-      "run without symmetry" -> (() => PlanExecutor.run(g, wedge, symmetry = false)),
-      "single vertex" -> (() => PlanExecutor.run(g, Planner.plan(Patterns.generateChain(1)))),
-      "domains" -> (() => PlanExecutor.domains(g, wedge)),
-      "exists" -> (() => Existence.exists(g, Patterns.generateClique(3))),
-      "labeledSupports" -> (() => MniSupport.labeledSupports(g, Patterns.generateChain(2))),
-      "fsm" -> (() => Fsm.run(spark, g, maxEdges = 1, threshold = 1))
+    val admit = new PlanExecutor.Admissible(Seq(0, 1), Some(Seq((0, 1), (1, 1))))
+    // (what, jobs it runs: one per pattern matched, query)
+    val queries: Seq[(String, Int, () => Any)] = Seq(
+      ("run", 1, () => PlanExecutor.run(g, wedge)),
+      ("run without symmetry", 1, () => PlanExecutor.run(g, wedge, symmetry = false)),
+      ("single vertex", 1, () => PlanExecutor.run(g, Planner.plan(Patterns.generateChain(1)))),
+      ("domains", 1, () => PlanExecutor.domains(g, wedge, symmetry = true, None)),
+      ("domains with admissible labels", 1, () => PlanExecutor.domains(g, wedge, symmetry = true, Some(admit))),
+      ("exists", 1, () => Existence.exists(g, Patterns.generateClique(3))),
+      ("labeledSupports", 1, () => MniSupport.labeledSupports(g, Patterns.generateChain(2), admissible = None)),
+      ("fsm", 1, () => Fsm.run(spark, g, maxEdges = 1, threshold = 1)),
+      // The edge, then the wedge under the frequent edges' label pairs.
+      ("fsm to 2 edges", 2, () => Fsm.run(spark, g, maxEdges = 2, threshold = 2))
     )
-    for ((what, query) <- queries) {
+    for ((what, expected, query) <- queries) {
       val (_, jobs) = jobsDuring(query())
-      assert(jobs.size == 1, what)
-      assert(jobs.head.stageInfos.map(_.numTasks) == Seq(sc.defaultParallelism), what)
-      // The job is submitted on the parallelized partitions themselves, with no mapped RDD.
-      assert(jobs.head.stageInfos.head.rddInfos.size == 1, what)
+      assert(jobs.size == expected, what)
+      for (job <- jobs) {
+        assert(job.stageInfos.map(_.numTasks) == Seq(sc.defaultParallelism), what)
+        // The job is submitted on the parallelized partitions themselves, with no mapped RDD.
+        assert(job.stageInfos.head.rddInfos.size == 1, what)
+      }
       assert(sc.getPersistentRDDs.keySet == before, what)
     }
+    assert(Fsm.run(spark, g, maxEdges = 2, threshold = 2).atSize(2).nonEmpty)
     g.unpersist()
+  }
+
+  /** Whether the label sequence `ls` (over `p.regularVertices`) has every
+    * label in `labels` and every edge's label pair in `pairs`, if given.
+    */
+  private def admitted(p: Pattern, labels: Set[Int], pairs: Option[Set[(Int, Int)]])(ls: Seq[Int]): Boolean = {
+    val at = p.regularVertices.zip(ls).toMap
+    ls.forall(labels) && pairs.forall(ps => p.edges.forall { case (u, v) => ps(at(u), at(v)) || ps(at(v), at(u)) })
+  }
+
+  test("domains with admissible labels are the unpruned domains of the admitted label sequences") {
+    val partial = labLabels.filter { case (v, _) => v % 3 != 0 }
+    val admissibles: Seq[(Set[Int], Option[Set[(Int, Int)]])] = Seq(
+      (Set(0, 1, 2), None),
+      (Set(0, 2), None),
+      (Set(0, 1, 2), Some(Set((0, 1), (2, 2)))),
+      (Set(0, 1), Some(Set((1, 0), (1, 1), (0, 2)))), // a pair with an inadmissible label
+      (Set(0, 1, 2), Some(Set.empty)),
+      (Set.empty, None)
+    )
+    for (ls <- Seq(labLabels, partial)) {
+      val g = TestGraphs.dataGraph(spark, labEdges, ls)
+      for (p <- Seq(Patterns.generateChain(2), Patterns.generateChain(3), Patterns.generateClique(3));
+           symmetry <- Seq(true, false)) {
+        val plan = Planner.plan(p)
+        val all = PlanExecutor.domains(g, plan, symmetry, None)
+        assert(all.nonEmpty, s"$p")
+        for ((labels, pairs) <- admissibles) {
+          val what = s"$p symmetry=$symmetry labels=$labels pairs=$pairs"
+          val got = PlanExecutor.domains(g, plan, symmetry, Some(new PlanExecutor.Admissible(labels, pairs)))
+          val expected = all.filter { case (seq, _) => admitted(p, labels, pairs)(seq) }
+          assert(got.keySet == expected.keySet, what)
+          for ((seq, doms) <- got) assert(doms.toSeq == expected(seq).toSeq, s"$what at $seq")
+        }
+      }
+      g.unpersist()
+    }
   }
 
   test("graphs with no edge and with one edge") {
