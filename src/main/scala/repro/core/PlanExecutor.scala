@@ -246,8 +246,7 @@ object PlanExecutor {
 
     /** Every check of position `i` on candidate `c`, except adjacency to `anchor`. */
     private def accepts(i: Int, c: Int, anchor: Int): Boolean = {
-      if (prog.label(i) != Csr.NoLabel && labels(c) != prog.label(i)) return false
-      if (admissible != null && !admits(i, c)) return false
+      if (labels != null && !labelsHold(i, c)) return false
       val distinct = prog.distinct(i)
       var j = 0
       while (j < distinct.length) { if (m(distinct(j)) == c) return false; j += 1 }
@@ -264,11 +263,15 @@ object PlanExecutor {
       true
     }
 
-    /** Whether `admissible` admits `c`'s label at position `i`: alone, and
-      * paired with each bound pattern neighbour's.
+    /** Position `i`'s label checks on `c`: the pattern's label, if any, and
+      * whether `admissible` (if given) admits `c`'s label, alone and paired
+      * with each bound pattern neighbour's. A search that reads no labels
+      * has none of these checks.
       */
-    private def admits(i: Int, c: Int): Boolean = {
+    private def labelsHold(i: Int, c: Int): Boolean = {
       val l = labels(c)
+      if (prog.label(i) != Csr.NoLabel && l != prog.label(i)) return false
+      if (admissible == null) return true
       if (!admissible.label(l)) return false
       val nbrs = prog.nbrs(i)
       var j = 0
